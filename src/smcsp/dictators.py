@@ -13,7 +13,9 @@ The key identities, asserted where cheap and tested everywhere:
   (1 - delta) * val(I, x) + delta * (q - 1);
 - assignments constant on each hypercube correspond one-to-one to
   bucket labelings of the source instance, so their optimum equals the
-  snap-and-enumerate rounding value.
+  snap-and-enumerate rounding value.  ``bucket_constant_opt`` computes
+  it by collapsing each hypercube of the blowup to one vertex and
+  running the same exact search as the rounding, on the blowup alone.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import CapExceeded, check_bits
+from .caps import check_bits, check_space
 from .distributions import extract_edge_distribution, smooth
 from .fourier import biased_fourier, mask_of
 from .lp import check_feasible_fractional, val
 from .model import (Instance, Point, point_distribution, point_value,
                     make_instance, assignment_cost, is_feasible,
-                    brute_force_opt)
+                    brute_force_opt, cheapest_labeling, collapse)
 from .rounding import check_grid_fraction, perturb_point
 
 ZERO = Fraction(0)
@@ -271,25 +273,15 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
 def bucket_constant_opt(D: DictInstance, *, max_bits: int | None = None):
     """Cheapest feasible labeling that is constant on every hypercube.
 
-    Mirrors the snap-and-enumerate rounding search on the source
-    instance; returns (value, per-bucket labels).
+    Solves ``D.instance`` collapsed to one vertex per hypercube, so it
+    needs no source instance and works on ``dict_view`` results too;
+    returns (value, per-bucket labels) in D's bucket order.
     """
-    if max_bits is None:
-        check_bits("ROUND", D.q ** D.m, "hypercube-constant labelings")
-    elif D.q ** D.m > (1 << max_bits):
-        raise CapExceeded(
-            f"hypercube-constant space {D.q}^{D.m} exceeds 2^{max_bits}")
-    best = None
-    best_z = None
-    for z in itertools.product(range(D.q), repeat=D.m):
-        labels = tuple(z[b] for b, _ in D.points)
-        if not is_feasible(D.instance, labels):
-            continue
-        cost = sum((zb * wb for zb, wb in zip(z, D.bucket_weights)), ZERO)
-        if best is None or cost < best:
-            best, best_z = cost, z
-    assert best is not None, "the all-top labeling is always feasible"
-    return best, best_z
+    check_space("ROUND", D.q ** D.m, "hypercube-constant labelings",
+                max_bits, f"hypercube-constant space {D.q}^{D.m}")
+    cubes = collapse(D.instance, [b for b, _ in D.points],
+                     [f"b{b}" for b in range(D.m)])
+    return cheapest_labeling(cubes)
 
 
 def dict_opt(D: DictInstance, *, max_bits: int | None = None):

@@ -11,6 +11,14 @@ Fractional relaxations assign each vertex a *point*: for ``q == 2`` a
 single rational in ``[0, 1]`` (the mass on label 1), for ``q > 2`` a
 rational distribution over the alphabet.  Helpers near the bottom of
 this module convert between the two views.
+
+Every exhaustive minimization in the package goes through one exact
+search, ``cheapest_labeling``: the cheapest feasible labeling,
+lexicographically least on ties.  ``brute_force_opt`` runs it on the
+instance itself.  Bucket rounding and the hypercube-constant optimum
+run it on a quotient built by ``collapse``, which merges each group of
+vertices into one, so labelings of the quotient are exactly the
+labelings constant on the groups.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .caps import CapExceeded, check_bits, check_count
+from .caps import check_count, check_space
 
 Point = Union[Fraction, tuple]  # scalar for q == 2, length-q tuple for q > 2
 
@@ -261,43 +269,88 @@ def is_feasible(inst: Instance, labels: Sequence[int]) -> bool:
     return True
 
 
-def _brute_force_boolean(inst: Instance, scale: int, int_weights: list):
-    """Vectorized boolean search over all 2**n assignments.
+def collapse(inst: Instance, part_of: Sequence[int], ids: Sequence) -> Instance:
+    """Quotient of ``inst`` that merges each part into one vertex.
 
-    Feasibility per edge goes through a lookup table on the edge's local
-    bit pattern; costs are exact integers (weights times their common
-    denominator), so no floating point is involved.
+    Vertex ``v`` goes to part ``part_of[v]``, which is named ``ids[p]``
+    and weighs the sum of its members.  Edges become their images under
+    the map, sorted, with duplicates dropped.  Labelings of the quotient
+    are the labelings of ``inst`` that are constant on every part, at
+    the same cost and with the same feasibility.
     """
-    n = inst.n
-    total = 1 << n
-    masks = np.arange(total, dtype=np.int64)
-    feasible = np.ones(total, dtype=bool)
+    weights = [ZERO] * len(ids)
+    for w, p in zip(inst.weights, part_of):
+        weights[p] += w
+    edges = sorted({(tuple(part_of[v] for v in e.vertices), e.predicate)
+                    for e in inst.edges})
+    return make_instance(inst.q, weights, inst.predicates, edges, ids)
+
+
+# one vectorized pass covers at most this many labelings
+_BLOCK = 1 << 16
+
+
+def cheapest_labeling(inst: Instance):
+    """Exact search: ``(min cost, lexicographically least optimal labeling)``.
+
+    Labelings are read in mixed radix with vertex 0 most significant.
+    The last ``k`` vertices form a block of ``q**k <= 2**16`` labelings
+    that numpy checks at once, through one lookup table per edge on its
+    local tuple; the leading vertices are iterated in lexicographic
+    order.  Costs are exact integers, the weights times the lcm of their
+    denominators, held as int64 when ``(q-1) * lcm < 2**62`` and as
+    Python ints otherwise.  The first argmin within a block and a strict
+    ``<`` across blocks keep the lexicographically least optimum.  The
+    search is not capped here; every caller checks its own budget first.
+    """
+    n, q = inst.n, inst.q
+    scale = math.lcm(*(w.denominator for w in inst.weights))
+    int_w = [w.numerator * (scale // w.denominator) for w in inst.weights]
+    dtype = np.int64 if (q - 1) * scale < 1 << 62 else object
+    k = n
+    while q ** k > _BLOCK:
+        k -= 1
+    h = n - k  # vertices h..n-1 form the vectorized block
+    block = np.arange(q ** k)
+
+    def digit(v):  # label of vertex v >= h across the block
+        return block // q ** (n - 1 - v) % q
+
+    low_cost = np.zeros(len(block), dtype=dtype)
+    for v in range(h, n):
+        low_cost += digit(v).astype(dtype) * int_w[v]
+    ok_low = np.ones(len(block), dtype=bool)  # edges inside the block
+    prefix_edges = []  # (table, block part of the index, prefix part)
     for e in inst.edges:
         pred = inst.predicate_of(e)
-        accepted = upward_closure(pred)
-        table = np.zeros(1 << pred.arity, dtype=bool)
-        for t in accepted:
-            idx = 0
-            for j, a in enumerate(t):
-                idx |= a << j
-            table[idx] = True
-        local = np.zeros(total, dtype=np.int64)
-        for j, v in enumerate(e.vertices):
-            local |= ((masks >> v) & 1) << j
-        feasible &= table[local]
-    if not feasible.any():
+        radix = [q ** (pred.arity - 1 - j) for j in range(pred.arity)]
+        table = np.zeros(q ** pred.arity, dtype=bool)
+        for t in upward_closure(pred):
+            table[sum(a * r for a, r in zip(t, radix))] = True
+        low = sum(digit(v) * r for v, r in zip(e.vertices, radix) if v >= h)
+        high = [(v, r) for v, r in zip(e.vertices, radix) if v < h]
+        if high:
+            prefix_edges.append((table, low, high))
+        else:
+            ok_low &= table[low]
+
+    best = best_labels = None
+    for prefix in itertools.product(range(q), repeat=h):
+        ok = ok_low.copy()
+        for table, low, high in prefix_edges:
+            ok &= table[low + sum(prefix[v] * r for v, r in high)]
+        hits = np.flatnonzero(ok)
+        if hits.size == 0:
+            continue
+        i = int(hits[np.argmin(low_cost[hits])])
+        cost = sum(a * w for a, w in zip(prefix, int_w)) + int(low_cost[i])
+        if best is None or cost < best:
+            best = cost
+            best_labels = prefix + tuple(i // q ** (k - 1 - j) % q
+                                         for j in range(k))
+    if best is None:
         raise RuntimeError("no feasible assignment (upward-closed predicates "
                            "should always accept the all-top assignment)")
-    cost = np.zeros(total, dtype=np.int64)
-    for v in range(n):
-        cost += ((masks >> v) & 1) * int_weights[v]
-    cost = np.where(feasible, cost, np.iinfo(np.int64).max)
-    best = int(cost.min())
-    candidates = np.nonzero(cost == best)[0]
-    # lexicographically smallest label tuple, vertex 0 most significant
-    best_labels = min(
-        tuple((int(m) >> v) & 1 for v in range(n)) for m in candidates
-    )
     return Fraction(best, scale), best_labels
 
 
@@ -308,40 +361,9 @@ def brute_force_opt(inst: Instance, *, max_bits: int | None = None):
     search space ``q**n`` is bounded by the ENUM cap (log2 budget).
     """
     n, q = inst.n, inst.q
-    if max_bits is None:
-        check_bits("ENUM", q ** n, "brute-force assignment space")
-    elif q ** n > (1 << max_bits):
-        raise CapExceeded(f"brute-force space {q}^{n} exceeds 2^{max_bits}")
-
-    if q == 2 and n > 14:
-        scale = 1
-        for w in inst.weights:
-            scale = scale * w.denominator // math.gcd(scale, w.denominator)
-        if scale < (1 << 60):
-            int_weights = [int(w * scale) for w in inst.weights]
-            return _brute_force_boolean(inst, scale, int_weights)
-
-    edge_data = [
-        (e.vertices, set(upward_closure(inst.predicate_of(e)))) for e in inst.edges
-    ]
-    best_cost = None
-    best_labels = None
-    for labels in itertools.product(range(q), repeat=n):
-        ok = True
-        for verts, accepted in edge_data:
-            if tuple(labels[v] for v in verts) not in accepted:
-                ok = False
-                break
-        if not ok:
-            continue
-        cost = sum((w * a for w, a in zip(inst.weights, labels) if a), ZERO)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_labels = labels
-    if best_cost is None:
-        raise RuntimeError("no feasible assignment (upward-closed predicates "
-                           "should always accept the all-top assignment)")
-    return best_cost, best_labels
+    check_space("ENUM", q ** n, "brute-force assignment space", max_bits,
+                f"brute-force space {q}^{n}")
+    return cheapest_labeling(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -13,30 +13,30 @@ objective increases by at most ``eps`` for ``q == 2`` and at most
 ``eps * q**2`` otherwise, and never decreases.
 
 ``round_solution`` then groups vertices into buckets by their snapped
-value and exhaustively searches assignments that are constant on each
-bucket, returning the cheapest feasible one.  The search is equivalent
-to solving the bucket-collapsed instance produced by
-``bucketed_instance`` exactly.
+value and returns the cheapest feasible assignment that is constant on
+each bucket.  It collapses every bucket to one vertex (the instance
+``bucketed_instance`` returns), solves that instance with the exact
+search ``model.cheapest_labeling``, and lifts the bucket labels back to
+the vertices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import check_bits
+from .caps import check_space
 from .lp import check_feasible_fractional, solve_lp, val
 from .model import (
-    Edge,
     Instance,
     Point,
     ZERO,
     ONE,
     brute_force_opt,
+    cheapest_labeling,
     check_solution,
-    validate_instance,
+    collapse,
 )
 
 
@@ -144,39 +144,18 @@ def round_solution(inst: Instance, x: Sequence[Point], eps,
                    *, max_bits: int | None = None) -> RoundResult:
     """Cheapest feasible assignment that is constant on snapped buckets.
 
-    Enumerates every labeling of the buckets (``q**m`` candidates,
-    bounded by the ROUND cap), checks feasibility edge by edge on the
-    original instance, and returns the minimum cost together with the
-    lexicographically least witness in bucket order.
+    Solves the bucket-collapsed instance exactly (``q**m`` candidates,
+    bounded by the ROUND cap) and lifts the optimum back to the
+    vertices; ties go to the lexicographically least labeling in bucket
+    order.
     """
     pert = perturb(inst, x, eps)
     m = len(pert.bucket_values)
-    if max_bits is None:
-        check_bits("ROUND", inst.q ** m, "bucket labeling space")
-    elif inst.q ** m > (1 << max_bits):
-        from .caps import CapExceeded
-
-        raise CapExceeded(f"bucket labeling space {inst.q}^{m} exceeds "
-                          f"2^{max_bits}")
-    bucket_weight = [ZERO] * m
-    for w, b in zip(inst.weights, pert.bucket_of):
-        bucket_weight[b] += w
-    edge_data = [
-        (tuple(pert.bucket_of[v] for v in e.vertices), inst.predicate_of(e))
-        for e in inst.edges
-    ]
-    best_cost = None
-    best_z = None
-    for z in itertools.product(range(inst.q), repeat=m):
-        if not all(p.accepts(tuple(z[b] for b in bs)) for bs, p in edge_data):
-            continue
-        cost = sum((wb * zb for wb, zb in zip(bucket_weight, z) if zb), ZERO)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_z = z
-    assert best_cost is not None, "the all-top labeling is always feasible"
-    labels = tuple(best_z[b] for b in pert.bucket_of)
-    return RoundResult(best_cost, labels, pert.bucket_values, best_z, pert)
+    check_space("ROUND", inst.q ** m, "bucket labeling space", max_bits,
+                f"bucket labeling space {inst.q}^{m}")
+    value, z = cheapest_labeling(_collapse_buckets(inst, pert))
+    labels = tuple(z[b] for b in pert.bucket_of)
+    return RoundResult(value, labels, pert.bucket_values, z, pert)
 
 
 def bucketed_instance(inst: Instance, x: Sequence[Point], eps):
@@ -188,27 +167,12 @@ def bucketed_instance(inst: Instance, x: Sequence[Point], eps):
     ``round_solution(inst, x, eps).value`` exactly.
     """
     pert = perturb(inst, x, eps)
-    m = len(pert.bucket_values)
-    weights = [ZERO] * m
-    for w, b in zip(inst.weights, pert.bucket_of):
-        weights[b] += w
-    ids = tuple(_bucket_id(inst.q, v) for v in pert.bucket_values)
-    edges = sorted(
-        {
-            (tuple(pert.bucket_of[v] for v in e.vertices), e.predicate)
-            for e in inst.edges
-        }
-    )
-    collapsed = Instance(
-        inst.q,
-        ids,
-        tuple(weights),
-        inst.predicates,
-        tuple(Edge(verts, pidx) for verts, pidx in edges),
-    )
-    problems = validate_instance(collapsed)
-    assert not problems, problems
-    return collapsed, pert.bucket_of
+    return _collapse_buckets(inst, pert), pert.bucket_of
+
+
+def _collapse_buckets(inst: Instance, pert: PerturbedSolution) -> Instance:
+    ids = [_bucket_id(inst.q, v) for v in pert.bucket_values]
+    return collapse(inst, pert.bucket_of, ids)
 
 
 def _bucket_id(q: int, value: Point) -> str:

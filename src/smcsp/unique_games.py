@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .caps import check_bits
+from .caps import check_bits, check_space
 from .dictators import (DictInstance, dict_vertex_id, dictator_weight)
 from .fourier import biased_fourier, point_of
 from .model import Instance, assignment_cost, is_feasible, make_instance
@@ -100,10 +100,8 @@ def ug_brute_force(ug: UgInstance, *, max_bits: int | None = None):
     """Maximum satisfied weight and its lexicographically least labeling."""
     ids = list(ug.left) + list(ug.right)
     space = ug.r ** len(ids)
-    if max_bits is None:
-        check_bits("UG", space, "game labeling space")
-    elif space > (1 << max_bits):
-        raise ValueError(f"game labeling space {space} exceeds 2^{max_bits}")
+    check_space("UG", space, "game labeling space", max_bits,
+                f"game labeling space {space}")
     best = None
     best_labels = None
     for combo in itertools.product(range(ug.r), repeat=len(ids)):

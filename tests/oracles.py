@@ -123,7 +123,11 @@ def standard_cover_lp_via_scipy(weights: list, edges: list) -> float:
 # ---------------------------------------------------------------------------
 
 def opt_by_enumeration(q: int, weights: list, edges: list):
-    """Exact optimum by trying all q^n labelings (weights are Fractions)."""
+    """Exact optimum by trying all q^n labelings (weights are Fractions).
+
+    Returns ``(value, labels)`` with the lexicographically least optimal
+    labeling.
+    """
     n = len(weights)
     best = None
     best_lab = None
@@ -137,18 +141,23 @@ def opt_by_enumeration(q: int, weights: list, edges: list):
 
 
 def round_by_enumeration(q: int, weights: list, snapped: list, edges: list):
-    """Best assignment constant on groups of equal snapped values."""
+    """Best assignment constant on groups of equal snapped values.
+
+    Returns ``(value, labels)``; ties go to the lexicographically least
+    group labeling, with groups in ascending order of snapped value.
+    """
     values = sorted(set(snapped))
     group = {v: i for i, v in enumerate(values)}
     best = None
+    best_lab = None
     for z in itertools.product(range(q), repeat=len(values)):
-        lab = [z[group[s]] for s in snapped]
+        lab = tuple(z[group[s]] for s in snapped)
         if all(tuple_ok(q, minimal, tuple(lab[u] for u in verts))
                for verts, minimal in edges):
             cost = sum((w * a for w, a in zip(weights, lab)), Fraction(0))
             if best is None or cost < best:
-                best = cost
-    return best
+                best, best_lab = cost, lab
+    return best, best_lab
 
 
 # ---------------------------------------------------------------------------

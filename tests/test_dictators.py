@@ -17,8 +17,9 @@ from smcsp.dictators import (bucket_constant_opt, bucket_map,
                              tilted_value)
 from smcsp.model import (assignment_cost, brute_force_opt, is_feasible,
                          solution_from_assignments)
-from smcsp.randgen import hvc, random_subset_labels, ternary_chain, vc_edge
-from smcsp.rounding import round_solution
+from smcsp.randgen import (hvc, random_feasible_solution, random_instance,
+                           random_subset_labels, ternary_chain, vc_edge)
+from smcsp.rounding import perturb, round_solution
 
 
 def _vc_dict(r=2, delta=F(1, 10), eps=F(1, 2)):
@@ -148,12 +149,29 @@ def test_ternary_dictators():
 # ---------------------------------------------------------------------------
 
 def test_bucket_constant_opt_equals_rounding():
-    for r in (1, 2):
-        inst, x, D = _vc_dict(r=r)
+    rng = random.Random(223)
+    cases = [_vc_dict(r=r) + (F(1, 2),) for r in (1, 2)]
+    for _ in range(8):
+        inst = random_instance(rng, rng.choice([2, 3]), rng.randint(2, 5),
+                               rng.randint(1, 3))
+        eps = F(1, rng.choice([2, 3]))
+        x = perturb(inst, random_feasible_solution(rng, inst), eps).x_eps
+        cases.append((inst, x, generate_dict(inst, x, rng.choice([1, 2]),
+                                             F(1, 10), eps), eps))
+    for inst, x, D, eps in cases:
         bco, labels = bucket_constant_opt(D)
-        assert bco == round_solution(inst, x, F(1, 2)).value
+        assert bco == round_solution(inst, x, eps).value
         assert is_feasible(D.instance, tuple(labels[b] for b, _ in
                                              D.points))
+        # the oracle groups by cube index, so its bucket order is D's
+        # first-occurrence cube order instead of sorted snapped values
+        edges = [(list(e.vertices), [list(m) for m in
+                  inst.predicates[e.predicate].minimal])
+                 for e in inst.edges]
+        want, want_labels = oracles.round_by_enumeration(
+            D.q, list(inst.weights), list(D.bucket_of), edges)
+        assert bco == want
+        assert tuple(labels[b] for b in D.bucket_of) == want_labels
 
 
 def test_dict_opt_between_lp_and_dictator_cost():

@@ -2,12 +2,17 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from smcsp import model
 from smcsp.caps import CapExceeded
 from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
+                         cheapest_labeling,
                          covering_predicate, is_covering_predicate,
                          is_feasible, label_point, make_instance, mix_points,
                          point_distribution, point_value,
@@ -103,25 +108,69 @@ def test_all_top_is_always_feasible():
         assert is_feasible(inst, top)
 
 
+def _oracle_opt(inst):
+    edges = [(list(e.vertices), [list(m) for m in
+              inst.predicates[e.predicate].minimal])
+             for e in inst.edges]
+    return oracles.opt_by_enumeration(inst.q, list(inst.weights), edges)
+
+
 def test_brute_force_matches_enumeration_oracle():
     rng = random.Random(7)
-    for _ in range(20):
-        inst = random_instance(rng, rng.choice([2, 3]), rng.randint(2, 5),
-                               rng.randint(1, 4))
+    cases = [random_instance(rng, rng.choice([2, 3]), rng.randint(2, 5),
+                             rng.randint(1, 4)) for _ in range(20)]
+    cases += [random_instance(rng, 4, rng.randint(2, 4), rng.randint(1, 4))
+              for _ in range(5)]
+    # lcm of the weight denominators is above 2**62: exact Python-int costs
+    huge = [F(3, 2**61 - 1), F(5, 2**31 - 1), F(7, 1000003), F(2, 999983)]
+    huge = [w / sum(huge) for w in huge]
+    cases += [make_instance(q, huge, [Predicate("p", 2, q, minimal)],
+                            [((0, 1), 0), ((1, 2), 0), ((2, 3), 0)])
+              for q, minimal in ((2, ((0, 1), (1, 0))),
+                                 (3, ((0, 2), (1, 1), (2, 0))))]
+    for inst in cases:
         got, witness = brute_force_opt(inst)
-        edges = [([v for v in e.vertices], [list(m) for m in
-                  inst.predicates[e.predicate].minimal])
-                 for e in inst.edges]
-        want, _ = oracles.opt_by_enumeration(inst.q, list(inst.weights),
-                                             edges)
+        want, want_witness = _oracle_opt(inst)
         assert got == want
+        assert witness == want_witness
         assert is_feasible(inst, witness)
         assert assignment_cost(inst, witness) == got
 
 
+@st.composite
+def small_instances(draw):
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6 if q == 2 else 4))
+    weights = [F(a) for a in draw(st.lists(st.integers(0, 6), min_size=n,
+                                           max_size=n))]
+    weights[0] += 1
+    weights = [w / sum(weights) for w in weights]
+    predicates, edges = [], []
+    for i in range(draw(st.integers(0, 4))):
+        arity = draw(st.integers(1, 3))
+        tuples = st.tuples(*[st.integers(0, q - 1)] * arity)
+        gens = draw(st.sets(tuples, min_size=1, max_size=4))
+        minimal = tuple(sorted(
+            t for t in gens
+            if not any(s != t and all(a <= b for a, b in zip(s, t))
+                       for s in gens)))
+        predicates.append(Predicate(f"p{i}", arity, q, minimal))
+        verts = draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                              max_size=arity))
+        edges.append((tuple(verts), i))
+    return make_instance(q, weights, predicates, edges)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_instances(), st.sampled_from([1, 3, 8, model._BLOCK]))
+def test_kernel_matches_enumeration_oracle(inst, block):
+    # small blocks split the search into several lexicographic prefixes
+    with mock.patch.object(model, "_BLOCK", block):
+        assert cheapest_labeling(inst) == _oracle_opt(inst)
+
+
 def test_brute_force_boolean_fast_path_agrees():
-    # n > 14 triggers the bitmask path for q = 2; compare on a small one
-    # by lowering the threshold indirectly: build 16 vertices.
+    # 16 boolean vertices fill exactly one 2**16 block of the search
     rng = random.Random(9)
     weights = [F(1, 16)] * 16
     pred = covering_predicate(2)

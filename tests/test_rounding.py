@@ -179,9 +179,10 @@ def test_round_matches_enumeration_oracle():
         edges = [([v for v in e.vertices], [list(m) for m in
                   inst.predicates[e.predicate].minimal])
                  for e in inst.edges]
-        want = oracles.round_by_enumeration(q, list(inst.weights), snapped,
-                                            edges)
+        want, want_labels = oracles.round_by_enumeration(
+            q, list(inst.weights), snapped, edges)
         assert result.value == want
+        assert result.labels == want_labels
         assert result.value >= brute_force_opt(inst)[0]
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from smcsp.caps import CapExceeded
 from smcsp.dictators import dictator_weight, generate_dict
 from smcsp.model import brute_force_opt
 from smcsp.randgen import random_game, twisted_cycle, vc_edge
@@ -75,6 +76,8 @@ def test_brute_force_on_random_games():
 
 def test_twisted_cycle_optimum_is_three_quarters():
     assert ug_brute_force(twisted_cycle())[0] == F(3, 4)
+    with pytest.raises(CapExceeded):
+        ug_brute_force(twisted_cycle(), max_bits=1)
 
 
 def test_vertex_masses():
