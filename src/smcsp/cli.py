@@ -27,8 +27,7 @@ from .dictators import (bucket_constant_opt, completeness_check, dict_view,
 from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
-from .model import (brute_force_opt, covering_predicate, make_instance,
-                    validate_instance)
+from .model import brute_force_opt, covering_predicate, make_instance
 from .rounding import integrality_report, perturb, round_solution
 from .unique_games import compose, decode_labeling, p_left, ug_satisfied_weight
 
@@ -70,11 +69,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_instance(path: str):
-    inst = io.parse_instance(_read(path))
-    problems = validate_instance(inst)
-    if problems:
-        raise io.ParseError("; ".join(problems))
-    return inst
+    return io.parse_instance(_read(path))
 
 
 def _solution_for(args, inst):

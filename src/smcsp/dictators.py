@@ -5,7 +5,8 @@ new instance on vertices (b, y): one hypercube [q]^r per distinct
 solution value, weighted by a product measure tilted toward the top
 label.  Every r-tuple of support atoms of the smoothed edge
 distribution contributes one hyperedge, so the construction is a
-deterministic enumeration rather than a sampler.
+deterministic enumeration rather than a sampler.  The one phase-1 solve
+per edge that yields its distribution also decides hull feasibility.
 
 The key identities, asserted where cheap and tested everywhere:
 
@@ -28,10 +29,11 @@ from typing import Sequence
 from .caps import check_bits, check_space
 from .distributions import extract_edge_distribution, smooth
 from .fourier import biased_fourier, mask_of
-from .lp import check_feasible_fractional, val
+from .lp import val
 from .model import (Instance, Point, point_distribution, point_value,
                     make_instance, assignment_cost, is_feasible,
-                    brute_force_opt, cheapest_labeling, collapse)
+                    brute_force_opt, cheapest_labeling, collapse,
+                    check_solution, point_in_domain)
 from .rounding import check_grid_fraction, perturb_point
 
 ZERO = Fraction(0)
@@ -115,7 +117,9 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     """Materialize the hypercube instance for (inst, x, r, delta).
 
     ``x`` must be hull-feasible; when ``eps`` is given, every entry must
-    already sit on the eps-grid (the caller snaps first).
+    already sit on the eps-grid (the caller snaps first).  An infeasible
+    ``x`` raises ``ValueError`` naming the first edge that fails, before
+    any DICT cap is checked.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -129,8 +133,11 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
                if perturb_point(inst.q, pt, eps) != pt]
         if off:
             raise ValueError(f"solution entries off the eps-grid: {off}")
-    if not check_feasible_fractional(inst, x):
+    check_solution(inst, x)
+    if not all(point_in_domain(inst.q, pt) for pt in x):
         raise ValueError("solution is not hull-feasible")
+    dists = [extract_edge_distribution(inst, x, e_idx)
+             for e_idx in range(len(inst.edges))]
 
     q = inst.q
     m, values, bucket_of = bucket_map(x)
@@ -151,8 +158,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     index = {pt: i for i, pt in enumerate(points)}
 
     edge_set = set()
-    for e_idx, edge in enumerate(inst.edges):
-        dist = smooth(extract_edge_distribution(inst, x, e_idx), delta)
+    for e_idx, (edge, dist) in enumerate(zip(inst.edges, dists)):
+        dist = smooth(dist, delta)
         support = [atom for atom, _ in dist.atoms]
         check_bits("DICT", len(support) ** r,
                    f"support tuples of edge #{e_idx}")

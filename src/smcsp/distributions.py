@@ -1,12 +1,12 @@
 """Distributions over an edge's accepted tuples.
 
 A hull-feasible solution restricted to an edge is a mixture of accepted
-tuples; phase-1 simplex recovers one such mixture exactly, and because
-the basis is deterministic the recovered distribution is a canonical
-function of the input.  ``smooth`` pushes a distribution through
-independent per-coordinate resampling toward the top label, which keeps
-the support inside the (upward-closed) accepting set while giving every
-atom probability bounded away from zero.
+tuples; ``lp.edge_mixture`` recovers one such mixture exactly by
+phase-1 simplex, and because the basis is deterministic the recovered
+distribution is a canonical function of the input.  ``smooth`` pushes a
+distribution through independent per-coordinate resampling toward the
+top label, which keeps the support inside the (upward-closed) accepting
+set while giving every atom probability bounded away from zero.
 
 ``maximal_correlation`` is the one floating-point surface here: it is
 the second singular value of the normalized joint-probability matrix of
@@ -26,12 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import simplex
-from .lp import edge_decomposition_system
+from .lp import edge_mixture
 from .model import (
     Instance,
     Point,
     Predicate,
+    PropertyViolation,
     ZERO,
     ONE,
     check_solution,
@@ -41,13 +41,16 @@ from .model import (
 
 @dataclass(frozen=True)
 class EdgeDistribution:
-    """Finitely supported distribution over accepted label tuples."""
+    """Finitely supported distribution over accepted label tuples.
+
+    ``extract_edge_distribution`` and ``smooth`` build it through one
+    constructor that checks the atoms are accepted and sum to one.
+    """
 
     q: int
     arity: int
     predicate: Predicate
     atoms: tuple  # ((labels tuple, positive Fraction), ...) sorted by tuple
-    basis_determinant: Fraction | None = None  # |det| certificate, if known
 
     @property
     def support(self) -> tuple:
@@ -63,12 +66,15 @@ class EdgeDistribution:
         return sum((p for _, p in self.atoms), ZERO)
 
 
-def _make_distribution(q, arity, predicate, prob_map, det=None) -> EdgeDistribution:
+def _make_distribution(q, arity, predicate, prob_map) -> EdgeDistribution:
     atoms = tuple(sorted((t, p) for t, p in prob_map.items() if p != 0))
-    dist = EdgeDistribution(q, arity, predicate, atoms, det)
-    assert dist.total() == 1
+    dist = EdgeDistribution(q, arity, predicate, atoms)
+    if dist.total() != 1:
+        raise PropertyViolation(f"distribution has total mass {dist.total()}")
     for t, _ in atoms:
-        assert predicate.accepts(t), f"support atom {t} rejected by predicate"
+        if not predicate.accepts(t):
+            raise PropertyViolation(
+                f"support atom {t} rejected by predicate")
     return dist
 
 
@@ -76,20 +82,17 @@ def extract_edge_distribution(inst: Instance, x: Sequence[Point],
                               edge_index: int) -> EdgeDistribution:
     """Canonical mixture of accepted tuples matching x on one edge.
 
-    Solves the edge's decomposition system by exact phase-1 simplex and
-    returns the basic solution, together with the absolute determinant
-    of the final basis (the Cramer denominator of the atom values).
+    The atoms are ``lp.edge_mixture`` of the edge: the basic solution of
+    its decomposition system by exact phase-1 simplex.  Raises
+    ``ValueError`` when x is not hull-feasible on the edge.
     """
     check_solution(inst, x)
     e = inst.edges[edge_index]
-    A, b, atoms = edge_decomposition_system(inst, x, e)
-    res = simplex.find_feasible_point(A, b)
-    if res.status != simplex.OPTIMAL:
+    mixture = edge_mixture(inst, x, e)
+    if mixture is None:
         raise ValueError(f"edge {edge_index}: solution is not hull-feasible")
-    prob_map = {t: res.values[a] for a, t in enumerate(atoms)}
-    det = abs(res.basis_determinant) if res.basis_determinant is not None else None
     return _make_distribution(inst.q, len(e.vertices), inst.predicate_of(e),
-                              prob_map, det)
+                              mixture)
 
 
 def min_atom(dist: EdgeDistribution) -> Fraction:

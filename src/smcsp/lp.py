@@ -9,9 +9,11 @@ any feasible point lie in the convex hull of the edge's accepting set.
 The objective is the weighted expected label.
 
 Everything is exact; the solver returns a deterministic basic optimum
-(see :mod:`smcsp.simplex`).  ``standard_hvc_lp`` provides the classical
-covering relaxation for boolean covering instances as an independent
-reference point.
+(see :mod:`smcsp.simplex`).  ``edge_mixture`` solves one edge's rows
+for a given x; hull feasibility and the edge distributions of
+:mod:`smcsp.distributions` are both read off it.  ``standard_hvc_lp``
+provides the classical covering relaxation for boolean covering
+instances as an independent reference point.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     Edge,
     Instance,
     Point,
+    PropertyViolation,
     ZERO,
     ONE,
     check_solution,
@@ -152,9 +155,11 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
              if res.values[start + a] != 0}
         )
     basis = tuple(sorted(problem.col_names[j] for j in res.basis))
-    objective = res.objective
-    assert objective == val(inst, x)
-    return LpSolution(problem, objective, x, lambdas, basis)
+    value = val(inst, x)
+    if res.objective != value:
+        raise PropertyViolation(f"simplex objective {res.objective} "
+                                f"differs from val(x) = {value}")
+    return LpSolution(problem, res.objective, x, lambdas, basis)
 
 
 def solve_lp(inst: Instance) -> LpSolution:
@@ -173,11 +178,15 @@ def val(inst: Instance, x: Sequence[Point]) -> Fraction:
     )
 
 
-def edge_decomposition_system(inst: Instance, x: Sequence[Point], e: Edge):
-    """Equality system expressing x's edge restriction as an atom mixture.
+def edge_mixture(inst: Instance, x: Sequence[Point], e: Edge):
+    """Canonical mixture of accepted tuples matching x on edge e.
 
-    Returns ``(A, b, atoms)`` where the variables are one lambda per
-    accepted tuple of the edge's predicate.
+    The system has one nonnegative variable per accepted tuple of the
+    edge's predicate, one row per vertex coordinate of the edge and one
+    row summing the variables to one.  Its deterministic basic solution
+    (exact phase-1 simplex) is returned as ``{accepted tuple: positive
+    Fraction}``, or ``None`` when x restricted to e is outside the hull.
+    ``x`` must already have passed ``check_solution``.
     """
     q = inst.q
     atoms = upward_closure(inst.predicate_of(e))
@@ -193,25 +202,22 @@ def edge_decomposition_system(inst: Instance, x: Sequence[Point], e: Edge):
                 b.append(x[v][i])
     A.append([ONE] * len(atoms))
     b.append(ONE)
-    return A, b, atoms
+    res = simplex.find_feasible_point(A, b)
+    if res.status != simplex.OPTIMAL:
+        return None
+    return {t: p for t, p in zip(atoms, res.values) if p != 0}
 
 
 def check_feasible_fractional(inst: Instance, x: Sequence[Point]) -> bool:
     """True iff x satisfies every constraint of the hull relaxation.
 
     Each vertex value must lie in its domain and each edge restriction
-    must admit a nonnegative mixture of accepted tuples (decided exactly
-    by a rational phase-1 solve).
+    must admit a nonnegative mixture of accepted tuples (``edge_mixture``).
     """
     check_solution(inst, x)
     if not all(point_in_domain(inst.q, pt) for pt in x):
         return False
-    for e in inst.edges:
-        A, b, _ = edge_decomposition_system(inst, x, e)
-        res = simplex.find_feasible_point(A, b)
-        if res.status != simplex.OPTIMAL:
-            return False
-    return True
+    return all(edge_mixture(inst, x, e) is not None for e in inst.edges)
 
 
 def standard_hvc_lp(inst: Instance) -> Fraction:

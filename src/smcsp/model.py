@@ -39,6 +39,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class PropertyViolation(AssertionError):
+    """A checked property of a computed result failed.
+
+    Raised explicitly, so ``python -O`` cannot strip the check; it
+    subclasses ``AssertionError``, so the CLI still exits 1.
+    """
+
+
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ deterministic function of the input matrices.
 
 Phase 1 introduces one artificial variable per row and drives their sum
 to zero; rows whose artificial cannot be pivoted out are redundant and
-are dropped.  The surviving rows and final basis therefore describe a
-square nonsingular system, whose determinant is exposed for callers
-that want a denominator certificate for the solution values.
+are dropped, so the final basis has one column per independent row.
+An empty ``A`` takes the same path: no rows, so the optimum is the
+origin unless some cost is negative, in which case the LP is unbounded.
 """
 
 from __future__ import annotations
@@ -37,28 +37,32 @@ class SimplexResult:
     objective: Fraction | None
     values: list | None        # all decision variables, zeros included
     basis: tuple | None        # sorted column indices of the final basis
-    kept_rows: tuple | None    # input row indices that survived phase 1
-    basis_determinant: Fraction | None  # det of A[kept_rows][:, basis]
 
 
-def _pivot(rows, basis, obj_rows, r, c):
-    piv = rows[r][c]
-    inv = ONE / piv
-    rows[r] = [a * inv for a in rows[r]]
-    prow = rows[r]
+def _eliminate(row, c, prow):
+    """``row`` minus ``row[c]`` times ``prow``; clears column c when
+    ``prow[c] == 1``."""
+    f = row[c]
+    return [a - f * p for a, p in zip(row, prow)]
+
+
+def _pivot(rows, basis, obj, r, c):
+    inv = ONE / rows[r][c]
+    prow = rows[r] = [a * inv for a in rows[r]]
     for i, row in enumerate(rows):
         if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a - f * p for a, p in zip(row, prow)]
-    for row in obj_rows:
-        if row[c] != 0:
-            f = row[c]
-            row[:] = [a - f * p for a, p in zip(row, prow)]
+            rows[i] = _eliminate(row, c, prow)
+    if obj[c] != 0:
+        obj[:] = _eliminate(obj, c, prow)
     basis[r] = c
 
 
-def _bland_loop(rows, basis, obj, allowed_cols):
-    """Minimize obj (a reduced-cost row with objective in the last slot)."""
+def _bland_loop(rows, basis, obj, allowed_cols) -> bool:
+    """Minimize obj (a reduced-cost row with objective in the last slot).
+
+    Returns True at an optimum and False when the entering column has
+    no positive entry, i.e. the objective is unbounded below.
+    """
     while True:
         enter = -1
         for j in allowed_cols:
@@ -66,7 +70,7 @@ def _bland_loop(rows, basis, obj, allowed_cols):
                 enter = j
                 break
         if enter < 0:
-            return
+            return True
         leave = -1
         best_ratio = None
         for i, row in enumerate(rows):
@@ -78,33 +82,8 @@ def _bland_loop(rows, basis, obj, allowed_cols):
                     best_ratio = ratio
                     leave = i
         if leave < 0:
-            raise _UnboundedSignal()
-        _pivot(rows, basis, [obj], leave, enter)
-
-
-class _UnboundedSignal(Exception):
-    pass
-
-
-def _determinant(matrix) -> Fraction:
-    """Fraction-exact determinant by Gaussian elimination."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = ONE / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+            return False
+        _pivot(rows, basis, obj, leave, enter)
 
 
 def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
@@ -121,15 +100,8 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
     b = [Fraction(v) for v in b]
     c = [Fraction(v) for v in c]
 
-    if m == 0:
-        # no constraints: minimum of a nonnegative-orthant linear function
-        if any(cj < 0 for cj in c):
-            return SimplexResult(UNBOUNDED, None, None, None, None, None)
-        return SimplexResult(OPTIMAL, ZERO, [ZERO] * n, (), (), ONE)
-
     # rows with nonnegative right-hand side, one artificial per row
     rows = []
-    row_ids = list(range(m))
     for i in range(m):
         row = list(A[i]) if b[i] >= 0 else [-a for a in A[i]]
         rhs = b[i] if b[i] >= 0 else -b[i]
@@ -144,12 +116,10 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
         for j in range(n):
             obj[j] -= row[j]
         obj[-1] -= row[-1]
-    try:
-        _bland_loop(rows, basis, obj, range(n))
-    except _UnboundedSignal as exc:  # cannot happen: phase 1 is bounded
-        raise SimplexError("phase 1 unbounded") from exc
+    if not _bland_loop(rows, basis, obj, range(n)):
+        raise SimplexError("phase 1 unbounded")  # the sum is bounded below
     if -obj[-1] != 0:
-        return SimplexResult(INFEASIBLE, None, None, None, None, None)
+        return SimplexResult(INFEASIBLE, None, None, None)
 
     # pivot artificials out of the basis; drop redundant rows
     keep = []
@@ -158,30 +128,24 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
             enter = next((j for j in range(n) if rows[i][j] != 0), None)
             if enter is None:
                 continue  # redundant row
-            _pivot(rows, basis, [obj], i, enter)
+            _pivot(rows, basis, obj, i, enter)
         keep.append(i)
     rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    row_ids = [row_ids[i] for i in keep]
 
     # phase 2: reduced costs of the original objective
     obj = list(c) + [ZERO]
     for i, bi in enumerate(basis):
         if obj[bi] != 0:
-            f = obj[bi]
-            obj = [a - f * p for a, p in zip(obj, rows[i])]
-    try:
-        _bland_loop(rows, basis, obj, range(n))
-    except _UnboundedSignal:
-        return SimplexResult(UNBOUNDED, None, None, None, None, None)
+            obj = _eliminate(obj, bi, rows[i])
+    if not _bland_loop(rows, basis, obj, range(n)):
+        return SimplexResult(UNBOUNDED, None, None, None)
 
     values = [ZERO] * n
     for i, bi in enumerate(basis):
         values[bi] = rows[i][-1]
     objective = sum((cj * v for cj, v in zip(c, values) if v), ZERO)
-    det = _determinant([[A[i][j] for j in sorted(basis)] for i in row_ids])
-    return SimplexResult(OPTIMAL, objective, values, tuple(sorted(basis)),
-                         tuple(row_ids), det)
+    return SimplexResult(OPTIMAL, objective, values, tuple(sorted(basis)))
 
 
 def find_feasible_point(A: Sequence, b: Sequence) -> SimplexResult:

@@ -104,6 +104,46 @@ def lp_via_scipy(q: int, weights: list, edges: list) -> float:
     return float(res.fun)
 
 
+def hull_feasible_via_scipy(q: int, x: list, edges: list) -> bool:
+    """Hull membership of a fractional solution, decided edge by edge.
+
+    ``x`` holds one value per vertex (a number for q = 2, a length-q
+    distribution otherwise); ``edges`` is a list of
+    ``(vertex_tuple, minimal_elements)`` pairs.  Each vertex must lie in
+    its domain, and each edge's values must be a convex mixture of the
+    edge's accepted tuples, found by a zero-objective HiGHS solve.
+    Floating point: meant for points well inside or well outside.
+    """
+    tol = 1e-9
+    for pt in x:
+        if q == 2:
+            if not -tol <= float(pt) <= 1 + tol:
+                return False
+        elif (min(float(a) for a in pt) < -tol
+              or abs(sum(float(a) for a in pt) - 1) > tol):
+            return False
+    for verts, minimal in edges:
+        acc = accepted_tuples(q, minimal)
+        rows, rhs = [], []
+        for j, u in enumerate(verts):
+            if q == 2:
+                rows.append([float(t[j]) for t in acc])
+                rhs.append(float(x[u]))
+            else:
+                for i in range(q):
+                    rows.append([float(t[j] == i) for t in acc])
+                    rhs.append(float(x[u][i]))
+        rows.append([1.0] * len(acc))
+        rhs.append(1.0)
+        res = linprog(np.zeros(len(acc)), A_eq=np.array(rows),
+                      b_eq=np.array(rhs), bounds=[(0, None)] * len(acc),
+                      method="highs")
+        assert res.status in (0, 2), res.message
+        if res.status == 2:
+            return False
+    return True
+
+
 def standard_cover_lp_via_scipy(weights: list, edges: list) -> float:
     """Standard covering LP: min w.x, sum of x over each edge >= 1."""
     n = len(weights)

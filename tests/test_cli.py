@@ -148,6 +148,14 @@ def test_dict_check(tmp_path, capsys):
                        "--delta", "1/10", "--r", "3")
     assert code == 0
     assert "all 3 feasible" in out
+    # both endpoints at label 0: on the 1/2-grid and in the domain, but
+    # the covering edge has no accepted tuple below (0, 0)
+    sol = tmp_path / "zero.json"
+    sol.write_text(json.dumps({"x": {"u": 0, "v": 0}}))
+    code, _, err = run(capsys, "dict-check", vc, "--eps", "1/2",
+                       "--delta", "1/10", "--r", "2", "--solution", sol)
+    assert code == 3
+    assert "edge 0: solution is not hull-feasible" in err
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +221,13 @@ def test_bad_document_is_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "lp", bad)
     assert code == 3
     assert "missing keys" in err
+    # well-formed JSON whose weights violate an instance invariant
+    doc = json.loads((FIXTURES / "vc_edge.json").read_text())
+    doc["vertices"][1]["weight"] = "1/4"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "lp", bad)
+    assert code == 3
+    assert "weights sum to 3/4" in err
 
 
 def test_usage_error_is_exit_2(capsys):

@@ -1,14 +1,19 @@
 """Hull relaxation: oracle agreement, certificates, exactness."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import oracles
 from smcsp.lp import (build_lp, check_feasible_fractional, lp_value,
                       solve_lp, standard_hvc_lp, val)
 from smcsp.model import (brute_force_opt, is_covering_predicate, label_point,
                          point_value, upward_closure)
-from smcsp.randgen import (hvc, random_cover_instance, random_instance,
+from smcsp.randgen import (hvc, random_cover_instance,
+                           random_feasible_solution, random_instance,
                            ternary_chain, triangle_cover, vc_edge)
 
 
@@ -53,6 +58,34 @@ def test_solution_is_feasible_and_achieves_objective():
         sol = solve_lp(inst)
         assert check_feasible_fractional(inst, sol.x)
         assert val(inst, sol.x) == sol.objective
+
+
+def _grid_point(rng, q):
+    """A random domain point on the 1/4-grid."""
+    if q == 2:
+        return F(rng.randint(0, 4), 4)
+    cuts = sorted(rng.randint(0, 4) for _ in range(q - 1))
+    return tuple(F(b - a, 4) for a, b in zip([0] + cuts, cuts + [4]))
+
+
+def test_feasibility_matches_scipy_oracle():
+    rng = random.Random(89)
+    verdicts = {True: 0, False: 0}
+    for _ in range(30):
+        q = rng.choice([2, 3])
+        inst = random_instance(rng, q, rng.randint(2, 5), rng.randint(1, 4))
+        inside = random_feasible_solution(rng, inst)
+        # every vertex of one edge at label 0
+        zeroed = list(inside)
+        for v in rng.choice(inst.edges).vertices:
+            zeroed[v] = label_point(q, 0)
+        grid = [_grid_point(rng, q) for _ in range(inst.n)]
+        for x in (inside, zeroed, grid):
+            got = check_feasible_fractional(inst, x)
+            assert got == oracles.hull_feasible_via_scipy(
+                q, list(x), _oracle_edges(inst))
+            verdicts[got] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 20
 
 
 def test_lambda_certificates_reconstruct_the_solution():
@@ -130,3 +163,39 @@ def test_point_value_consistency_with_objective():
     direct = sum((w * point_value(inst.q, pt)
                   for w, pt in zip(inst.weights, sol.x)), F(0))
     assert direct == sol.objective
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from fractions import Fraction
+from smcsp import cli, lp
+from smcsp.distributions import _make_distribution
+from smcsp.model import PropertyViolation, covering_predicate
+
+assert not __debug__, "expected python -O"
+lp.val = lambda inst, x: Fraction(-1)
+print("lp exit", cli.main(["lp", sys.argv[1]]))
+pred = covering_predicate(2)
+for probs in ({(0, 1): Fraction(1, 2)}, {(0, 0): Fraction(1)}):
+    try:
+        _make_distribution(2, 2, pred, probs)
+    except PropertyViolation as exc:
+        print("caught", exc)
+"""
+
+
+def test_checks_survive_python_O():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS,
+         str(root / "fixtures" / "vc_edge.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "lp exit 1"
+    assert "differs from val(x)" in proc.stderr
+    assert lines[1] == "caught distribution has total mass 1/2"
+    assert lines[2] == "caught support atom (0, 0) rejected by predicate"

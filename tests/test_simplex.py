@@ -51,10 +51,16 @@ def test_solution_is_basic_and_exact():
     assert res.objective == F(3, 2)
     assert res.values == [F(0), F(1, 2), F(1, 2)]
     assert res.basis == (1, 2)
-    assert res.basis_determinant != 0
     # constraints hold exactly
     for row, rhs in zip(A, b):
         assert sum(a * v for a, v in zip(row, res.values)) == rhs
+    # no rows and no negative cost: the origin, with an empty basis
+    for c in ([F(2), F(0), F(1, 3)], []):
+        res = solve_standard_form([], [], c)
+        assert res.status == "optimal"
+        assert res.objective == 0
+        assert res.values == [F(0)] * len(c)
+        assert res.basis == ()
 
 
 def test_deterministic_repeat():
@@ -77,6 +83,10 @@ def test_unbounded_detected():
     b = [F(0)]
     res = solve_standard_form(A, b, [F(-1), F(0)])
     assert res.status == "unbounded"
+    # no rows: any negative cost is unbounded along its own axis
+    res = solve_standard_form([], [], [F(2), F(-1)])
+    assert res.status == "unbounded"
+    assert res.values is None and res.basis is None
 
 
 def test_redundant_rows_are_dropped():
@@ -85,7 +95,7 @@ def test_redundant_rows_are_dropped():
     res = solve_standard_form(A, b, [F(1), F(0)])
     assert res.status == "optimal"
     assert res.objective == 0
-    assert len(res.kept_rows) == 1
+    assert len(res.basis) == 1
 
 
 def test_degenerate_cycling_terminates():
@@ -109,6 +119,8 @@ def test_find_feasible_point():
     assert res.status == "optimal"
     assert sum(a * v for a, v in zip(A[0], res.values)) == b[0]
     assert all(v >= 0 for v in res.values)
+    res = find_feasible_point([], [])
+    assert res.status == "optimal" and res.values == []
 
 
 def test_dimension_mismatch_raises():
