@@ -1,14 +1,21 @@
 """Exact simplex: agreement with scipy, determinism, edge statuses."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from smcsp import io, lp, randgen
+from smcsp.rounding import perturb
 from smcsp.simplex import (SimplexError, find_feasible_point,
                            solve_standard_form)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _random_standard_form(rng, m, n):
@@ -137,3 +144,57 @@ def test_negative_rhs_is_normalized():
 
 def test_simplex_error_type_exists():
     assert issubclass(SimplexError, RuntimeError)
+
+
+# sha256 of every pinned Bland result below; it changes only if some
+# pivot sequence, basis or exact value changes
+BLAND_DIGEST = ("cca61c7c378530bd533607762f6000d8"
+                "a235ba9816908d4fd201ce39cde5cd51")
+
+RELAX_LADDER = [(2, 8, 12), (2, 10, 15), (2, 12, 18), (3, 6, 6), (3, 8, 8)]
+
+
+def _result_record(res):
+    return [res.status, str(res.objective),
+            None if res.values is None else [str(v) for v in res.values],
+            None if res.basis is None else list(res.basis)]
+
+
+def _pinned_records():
+    instances = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name.endswith(".solution.json") or path.name.startswith("ug_"):
+            continue
+        instances[path.stem] = io.parse_instance(path.read_text())
+    records = []
+    for name, inst in instances.items():
+        prob = lp.build_lp(inst)
+        res = solve_standard_form(prob.A, prob.b, prob.c)
+        records.append([name, _result_record(res), lp.solve_lp(inst).basis])
+    for q, n, m in RELAX_LADDER:
+        for s in (0, 1):
+            inst = randgen.random_instance(random.Random(s), q, n, m, 3)
+            prob = lp.build_lp(inst)
+            res = solve_standard_form(prob.A, prob.b, prob.c)
+            records.append([f"ladder {q} {n} {m} {s}", _result_record(res)])
+    # the per-edge mixtures that generate_dict reads, at the eps-snapped
+    # LP optimum and at the committed uniform solution of hvc3
+    points = []
+    for name, inst in instances.items():
+        for eps in (F(1, 4), F(1, 6)):
+            points.append((f"{name} eps {eps}", inst,
+                           perturb(inst, lp.solve_lp(inst).x, eps).x_eps))
+    hvc3 = instances["hvc3"]
+    points.append(("hvc3 uniform", hvc3, io.parse_solution(
+        (FIXTURES / "hvc3_uniform.solution.json").read_text(), hvc3)))
+    for name, inst, x in points:
+        for e_idx, e in enumerate(inst.edges):
+            mix = lp.edge_mixture(inst, x, e)
+            records.append([f"{name} edge {e_idx}", None if mix is None else
+                            sorted([list(t), str(p)] for t, p in mix.items())])
+    return records
+
+
+def test_bland_results_pinned():
+    text = json.dumps(_pinned_records(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BLAND_DIGEST
