@@ -26,7 +26,8 @@ from .fourier import (biased_fourier, conditional_variance_influence,
                       dictator_table, influence)
 from .gaussian import check_gamma_inequalities, gamma, gamma_mc
 from .lp import lp_value, solve_lp, standard_hvc_lp, val
-from .model import brute_force_opt, make_instance, covering_predicate
+from .model import (brute_force_opt, check_solution, covering_predicate,
+                    make_instance)
 from .rounding import (bucketed_instance, round_solution,
                        verify_perturbation)
 from .unique_games import UgInstance, compose, completeness_solution, \
@@ -129,6 +130,7 @@ def _margin_corpus():
         n = rng.randint(2, 6)
         inst = randgen.random_instance(rng, q, n, rng.randint(1, 3), 3)
         x = randgen.random_feasible_solution(rng, inst)
+        check_solution(inst, x)
         yield inst, x
 
 
@@ -218,7 +220,7 @@ def criterion_8():
         n = len(D.instance.vertex_ids)
         for _ in range(1000):
             labels = tuple(rng.randrange(2) for _ in range(n))
-            extract_TJ(D, labels)  # asserts the weight bound
+            extract_TJ(D, labels)  # checks the weight bound
             subsets += 1
     return _report(8, "cube-constant identity + snapped-subset bound",
                    bad == 0, f"{bad} identity violations, "
@@ -239,6 +241,7 @@ def criterion_9():
         inst = make_instance(q, randgen.random_weights(rng, k), [pred],
                              [(tuple(range(k)), 0)])
         x = randgen.random_feasible_solution(rng, inst)
+        check_solution(inst, x)
         dist = smooth(extract_edge_distribution(inst, x, 0),
                       rng.choice([F(1, 10), F(1, 3)]))
         cut = rng.randint(1, k - 1)

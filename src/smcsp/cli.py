@@ -27,7 +27,8 @@ from .dictators import (bucket_constant_opt, completeness_check, dict_view,
 from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
-from .model import brute_force_opt, covering_predicate, make_instance
+from .model import (PropertyViolation, brute_force_opt, check_solution,
+                    covering_predicate, make_instance)
 from .rounding import integrality_report, perturb, round_solution
 from .unique_games import compose, decode_labeling, p_left, ug_satisfied_weight
 
@@ -180,7 +181,9 @@ def cmd_dict_check(args) -> int:
     report = completeness_check(D, inst, x)
     bco, bucket_labels = bucket_constant_opt(D)
     rounded = round_solution(inst, x, eps).value
-    assert bco == rounded, (bco, rounded)
+    if bco != rounded:
+        raise PropertyViolation(f"cube-constant optimum {bco} differs from "
+                                f"rounding value {rounded}")
     doc = {"completeness": report,
            "bucket_constant_opt": bco, "round_value": rounded,
            "bucket_labels": list(bucket_labels)}
@@ -283,6 +286,7 @@ def cmd_analyze_correlation(args) -> int:
     if not 0 <= args.edge < len(inst.edges):
         raise ValueError(f"--edge must be in 0..{len(inst.edges) - 1}")
     x = _solution_for(args, inst)
+    check_solution(inst, x)
     dist = extract_edge_distribution(inst, x, args.edge)
     if args.delta:
         dist = smooth(dist, io.parse_rational(args.delta, "--delta"))

@@ -8,7 +8,8 @@ distribution contributes one hyperedge, so the construction is a
 deterministic enumeration rather than a sampler.  The one phase-1 solve
 per edge that yields its distribution also decides hull feasibility.
 
-The key identities, asserted where cheap and tested everywhere:
+The key identities, checked where cheap (a failure raises
+``PropertyViolation``, also under ``python -O``) and tested everywhere:
 
 - every coordinate function y -> y_i is feasible and costs exactly
   (1 - delta) * val(I, x) + delta * (q - 1);
@@ -30,8 +31,8 @@ from .caps import check_bits, check_space
 from .distributions import extract_edge_distribution, smooth
 from .fourier import biased_fourier, mask_of
 from .lp import val
-from .model import (Instance, Point, point_distribution, point_value,
-                    make_instance, assignment_cost, is_feasible,
+from .model import (Instance, Point, PropertyViolation, point_distribution,
+                    point_value, make_instance, assignment_cost, is_feasible,
                     brute_force_opt, cheapest_labeling, collapse,
                     check_solution, point_in_domain)
 from .rounding import check_grid_fraction, perturb_point
@@ -202,17 +203,24 @@ def completeness_check(D: DictInstance, inst: Instance | None = None,
             raise ValueError(f"instance/solution pair has value "
                              f"{recomputed}, expected {value}")
     expected = (1 - D.delta) * value + D.delta * (D.q - 1)
-    assert dictator_weight(D) == expected
+    if dictator_weight(D) != expected:
+        raise PropertyViolation(f"dictator weight {dictator_weight(D)} "
+                                f"differs from {expected}")
     costs = []
     for i in range(D.r):
         labels = dictator_assignment(D, i)
-        assert is_feasible(D.instance, labels), \
-            f"coordinate labeling {i} violates a constraint"
+        if not is_feasible(D.instance, labels):
+            raise PropertyViolation(
+                f"coordinate labeling {i} violates a constraint")
         cost = assignment_cost(D.instance, labels)
-        assert cost == expected, (i, cost, expected)
+        if cost != expected:
+            raise PropertyViolation(f"coordinate labeling {i} costs {cost}, "
+                                    f"expected {expected}")
         costs.append(cost)
     bound = value + D.delta * (D.q - 1)
-    assert expected <= bound
+    if expected > bound:
+        raise PropertyViolation(f"dictator cost {expected} exceeds the "
+                                f"bound {bound}")
     return {"r": D.r, "delta": D.delta, "value": value,
             "dictator_cost": expected, "costs": costs, "bound": bound,
             "feasible": True}
@@ -245,8 +253,9 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
 
     A hypercube joins J when the tilted measure of its unselected part
     is at most delta.  The weight bound w(T_J) <= w(S) + delta holds for
-    every selection and is asserted; feasibility of T_J is only
-    reported, with a violated edge as witness when it fails.
+    every selection and is checked (``PropertyViolation``); feasibility
+    of T_J is only reported, with a violated edge as witness when it
+    fails.
     """
     _require_boolean(D)
     delta = D.delta
@@ -264,7 +273,9 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
     tj_labels = tuple(1 if b in selected else 0 for b, _ in D.points)
     w_s = assignment_cost(D.instance, labels)
     w_tj = assignment_cost(D.instance, tj_labels)
-    assert w_tj <= w_s + delta, (w_tj, w_s, delta)
+    if w_tj > w_s + delta:
+        raise PropertyViolation(f"w(T_J) = {w_tj} exceeds w(S) + delta = "
+                                f"{w_s + delta}")
     violated = None
     for edge in D.instance.edges:
         if not D.instance.predicates[edge.predicate].accepts(

@@ -34,7 +34,6 @@ from .model import (
     PropertyViolation,
     ZERO,
     ONE,
-    check_solution,
     point_distribution,
 )
 
@@ -84,9 +83,9 @@ def extract_edge_distribution(inst: Instance, x: Sequence[Point],
 
     The atoms are ``lp.edge_mixture`` of the edge: the basic solution of
     its decomposition system by exact phase-1 simplex.  Raises
-    ``ValueError`` when x is not hull-feasible on the edge.
+    ``ValueError`` when x is not hull-feasible on the edge.  ``x`` must
+    already have passed ``check_solution``, once for all its edges.
     """
-    check_solution(inst, x)
     e = inst.edges[edge_index]
     mixture = edge_mixture(inst, x, e)
     if mixture is None:

@@ -1,13 +1,24 @@
 """Exact two-phase primal simplex over rationals.
 
-Solves ``min c.z  s.t.  A z = b, z >= 0`` with every entry a Fraction.
-Pivoting uses Bland's rule (smallest eligible column; ties in the ratio
-test broken by the smallest basic variable index), which guarantees
-termination and makes the returned basic optimal solution a
-deterministic function of the input matrices.
+Solves ``min c.z  s.t.  A z = b, z >= 0`` for rational (``Fraction`` or
+``int``) input.  Pivoting uses Bland's rule (smallest eligible column;
+ties in the ratio test broken by the smallest basic variable index),
+which guarantees termination and makes the returned basic optimal
+solution a deterministic function of the input matrices.
 
-Phase 1 introduces one artificial variable per row and drives their sum
-to zero; rows whose artificial cannot be pivoted out are redundant and
+The tableau is fraction-free: each row, the objective row included, is
+a list of Python ints ``N`` with one positive denominator ``D``, and
+stands for ``N / D`` (Edmonds 1967; Bareiss 1968).  Every sign test and
+ratio comparison is made on the integers, a pivot updates only the rows
+with a nonzero pivot-column entry and only on the pivot row's nonzero
+columns, and each updated row is divided by ``gcd(D, *N)``.  Results
+are exact, so the pivot sequence is the one Bland's rule takes over the
+rationals; ``Fraction`` appears only at the boundary, in the values and
+objective of the result.
+
+Phase 1 starts from one artificial variable per row and drives their
+sum to zero.  Artificials never re-enter, so their columns are not
+stored.  Rows whose artificial cannot be pivoted out are redundant and
 are dropped, so the final basis has one column per independent row.
 An empty ``A`` takes the same path: no rows, so the optimum is the
 origin unless some cost is negative, in which case the LP is unbounded.
@@ -17,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,51 +50,87 @@ class SimplexResult:
     basis: tuple | None        # sorted column indices of the final basis
 
 
-def _eliminate(row, c, prow):
-    """``row`` minus ``row[c]`` times ``prow``; clears column c when
-    ``prow[c] == 1``."""
+def _int_row(vals):
+    """Integers ``N`` and a denominator ``D > 0`` with ``N / D == vals``."""
+    try:  # int and Fraction entries, without building new objects
+        pairs = [v.as_integer_ratio() for v in vals]
+    except AttributeError:
+        pairs = [Fraction(v).as_integer_ratio() for v in vals]
+    d = lcm(*[q for _, q in pairs])
+    if d == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (d // q) for p, q in pairs], d
+
+
+def _reduce(row, d):
+    """Divide ``row`` (in place) and ``d`` by ``gcd(d, *row)``."""
+    if d != 1:
+        g = gcd(d, *row)
+        if g != 1:
+            row[:] = [a // g for a in row]
+            d //= g
+    return d
+
+
+def _eliminate(row, d, prow, pd, nz, c):
+    """``row / d`` minus ``row[c] / d`` times ``prow / pd``, in place.
+
+    ``prow[c] == pd``, so column c is cleared; ``nz`` lists the nonzero
+    columns of ``prow``.  Returns the new denominator.
+    """
     f = row[c]
-    return [a - f * p for a, p in zip(row, prow)]
+    g = gcd(f, pd)
+    scale, f = pd // g, f // g
+    if scale != 1:
+        row[:] = [a * scale for a in row]
+        d *= scale
+    for j in nz:
+        row[j] -= f * prow[j]
+    return _reduce(row, d)
 
 
-def _pivot(rows, basis, obj, r, c):
-    inv = ONE / rows[r][c]
-    prow = rows[r] = [a * inv for a in rows[r]]
+def _pivot(rows, dens, basis, obj, r, c):
+    """Pivot on ``rows[r][c]``; ``obj`` is ``[N, D]`` or None."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow[:] = [-a for a in prow]
+        p = -p
+    pd = dens[r] = _reduce(prow, p)
+    nz = [j for j, a in enumerate(prow) if a]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            rows[i] = _eliminate(row, c, prow)
-    if obj[c] != 0:
-        obj[:] = _eliminate(obj, c, prow)
+        if i != r and row[c]:
+            dens[i] = _eliminate(row, dens[i], prow, pd, nz, c)
+    if obj is not None and obj[0][c]:
+        obj[1] = _eliminate(obj[0], obj[1], prow, pd, nz, c)
     basis[r] = c
 
 
-def _bland_loop(rows, basis, obj, allowed_cols) -> bool:
-    """Minimize obj (a reduced-cost row with objective in the last slot).
+def _bland_loop(rows, dens, basis, obj, ncols) -> bool:
+    """Minimize ``obj`` (reduced costs, minus the objective last).
 
     Returns True at an optimum and False when the entering column has
     no positive entry, i.e. the objective is unbounded below.
     """
+    costs = obj[0]  # updated in place by _pivot
     while True:
-        enter = -1
-        for j in allowed_cols:
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if costs[j] < 0), -1)
         if enter < 0:
             return True
+        # ratio rhs / a, compared by cross-multiplication (a > 0)
         leave = -1
-        best_ratio = None
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])):
-                    best_ratio = ratio
-                    leave = i
+                if leave < 0:
+                    leave, best_rhs, best_a = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
             return False
-        _pivot(rows, basis, obj, leave, enter)
+        _pivot(rows, dens, basis, obj, leave, enter)
 
 
 def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
@@ -96,55 +143,59 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    A = [[Fraction(a) for a in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
 
-    # rows with nonnegative right-hand side, one artificial per row
-    rows = []
+    # rows [A_i | b_i] with nonnegative right-hand side; row i starts
+    # with its artificial n + i basic
+    rows, dens = [], []
     for i in range(m):
-        row = list(A[i]) if b[i] >= 0 else [-a for a in A[i]]
-        rhs = b[i] if b[i] >= 0 else -b[i]
-        art = [ZERO] * m
-        art[i] = ONE
-        rows.append(row + art + [rhs])
+        row, d = _int_row(list(A[i]) + [b[i]])
+        if row[-1] < 0:
+            row = [-a for a in row]
+        rows.append(row)
+        dens.append(d)
     basis = [n + i for i in range(m)]
 
     # phase 1: minimize the sum of artificials
-    obj = [ZERO] * (n + m + 1)
-    for row in rows:
-        for j in range(n):
-            obj[j] -= row[j]
-        obj[-1] -= row[-1]
-    if not _bland_loop(rows, basis, obj, range(n)):
+    d = lcm(*dens)
+    cost = [0] * (n + 1)
+    for row, di in zip(rows, dens):
+        k = d // di
+        for j, a in enumerate(row):
+            if a:
+                cost[j] -= a * k
+    obj = [cost, _reduce(cost, d)]
+    if not _bland_loop(rows, dens, basis, obj, n):
         raise SimplexError("phase 1 unbounded")  # the sum is bounded below
-    if -obj[-1] != 0:
+    if obj[0][-1] != 0:
         return SimplexResult(INFEASIBLE, None, None, None)
 
-    # pivot artificials out of the basis; drop redundant rows
+    # pivot artificials out of the basis (the phase-1 objective is done
+    # with); drop redundant rows
     keep = []
-    for i in range(len(rows)):
+    for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if rows[i][j] != 0), None)
+            enter = next((j for j in range(n) if rows[i][j]), None)
             if enter is None:
                 continue  # redundant row
-            _pivot(rows, basis, obj, i, enter)
+            _pivot(rows, dens, basis, None, i, enter)
         keep.append(i)
-    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    rows = [rows[i] for i in keep]
+    dens = [dens[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # phase 2: reduced costs of the original objective
-    obj = list(c) + [ZERO]
+    obj = list(_int_row(list(c) + [0]))
     for i, bi in enumerate(basis):
-        if obj[bi] != 0:
-            obj = _eliminate(obj, bi, rows[i])
-    if not _bland_loop(rows, basis, obj, range(n)):
+        if obj[0][bi]:
+            nz = [j for j, a in enumerate(rows[i]) if a]
+            obj[1] = _eliminate(obj[0], obj[1], rows[i], dens[i], nz, bi)
+    if not _bland_loop(rows, dens, basis, obj, n):
         return SimplexResult(UNBOUNDED, None, None, None)
 
     values = [ZERO] * n
-    for i, bi in enumerate(basis):
-        values[bi] = rows[i][-1]
-    objective = sum((cj * v for cj, v in zip(c, values) if v), ZERO)
+    for row, di, bi in zip(rows, dens, basis):
+        values[bi] = Fraction(row[-1], di)
+    objective = Fraction(-obj[0][-1], obj[1])
     return SimplexResult(OPTIMAL, objective, values, tuple(sorted(basis)))
 
 

@@ -23,7 +23,8 @@ from typing import Iterable, Mapping, Sequence
 from .caps import check_bits, check_space
 from .dictators import (DictInstance, dict_vertex_id, dictator_weight)
 from .fourier import biased_fourier, point_of
-from .model import Instance, assignment_cost, is_feasible, make_instance
+from .model import (Instance, PropertyViolation, assignment_cost,
+                    is_feasible, make_instance)
 
 ZERO = Fraction(0)
 
@@ -196,6 +197,7 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
 
     and, when the generating relaxation value is supplied, the bound
     (lp + eps + (q-1) * delta) * mass(satisfied) + (q-1) * mass(rest).
+    Both are checked, raising ``PropertyViolation`` when they fail.
     Returns (assignment, report).
     """
     if F is None:
@@ -220,14 +222,18 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
         else:
             assignment.extend([q - 1] * cube)
     assignment = tuple(assignment)
-    assert is_feasible(F, assignment)
+    if not is_feasible(F, assignment):
+        raise PropertyViolation("completeness assignment violates a "
+                                "constraint")
     weight = assignment_cost(F, assignment)
     mass_sat = sum((p_left(ug, u) for u, uid in enumerate(ug.left)
                     if uid in sat), ZERO)
     mass_rest = 1 - mass_sat
     dw = dictator_weight(D)
     identity = dw * mass_sat + (q - 1) * mass_rest
-    assert weight == identity, (weight, identity)
+    if weight != identity:
+        raise PropertyViolation(f"completeness weight {weight} differs from "
+                                f"the identity value {identity}")
     report = {"weight": weight, "dictator_weight": dw,
               "mass_satisfied": mass_sat, "mass_rest": mass_rest,
               "feasible": True}
@@ -236,7 +242,9 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
             raise ValueError("bound check needs the generation grid step")
         bound = ((lp_value + D.eps + (q - 1) * D.delta) * mass_sat
                  + (q - 1) * mass_rest)
-        assert weight <= bound, (weight, bound)
+        if weight > bound:
+            raise PropertyViolation(f"completeness weight {weight} exceeds "
+                                    f"the bound {bound}")
         report["bound"] = bound
         report["bound_ok"] = True
     return assignment, report

@@ -104,6 +104,92 @@ def lp_via_scipy(q: int, weights: list, edges: list) -> float:
     return float(res.fun)
 
 
+# ---------------------------------------------------------------------------
+# exact simplex reference: dense Fraction tableau
+# ---------------------------------------------------------------------------
+
+def bland_dense(A: list, b: list, c: list) -> tuple:
+    """Dense ``Fraction`` two-phase Bland simplex for ``min c.z : Az = b,
+    z >= 0``: the reference for the package's integer-row solver.
+
+    Full-width tableau rows with one artificial column per row, every
+    entry a ``Fraction``, every pivot a full-row update.  Bland's rule
+    picks the smallest column with a negative reduced cost and breaks
+    ratio ties by the smallest basic index.  Returns ``(status,
+    objective, values, sorted basis)``; only the status is set unless
+    it is ``"optimal"``.
+    """
+    m, n = len(A), len(c)
+    zero, one = Fraction(0), Fraction(1)
+
+    def eliminate(row, col, prow):
+        f = row[col]
+        return [a - f * p for a, p in zip(row, prow)]
+
+    def pivot(rows, basis, obj, r, col):
+        inv = one / rows[r][col]
+        prow = rows[r] = [a * inv for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col] != 0:
+                rows[i] = eliminate(row, col, prow)
+        if obj[col] != 0:
+            obj[:] = eliminate(obj, col, prow)
+        basis[r] = col
+
+    def bland(rows, basis, obj):
+        while True:
+            enter = next((j for j in range(n) if obj[j] < 0), None)
+            if enter is None:
+                return True
+            leave, best = None, None
+            for i, row in enumerate(rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if (best is None or ratio < best or
+                            (ratio == best and basis[i] < basis[leave])):
+                        leave, best = i, ratio
+            if leave is None:
+                return False
+            pivot(rows, basis, obj, leave, enter)
+
+    rows = []
+    for i in range(m):
+        sign = 1 if Fraction(b[i]) >= 0 else -1
+        art = [zero] * m
+        art[i] = one
+        rows.append([sign * Fraction(a) for a in A[i]] + art
+                    + [sign * Fraction(b[i])])
+    basis = [n + i for i in range(m)]
+    obj = [zero] * (n + m + 1)
+    for row in rows:
+        for j in list(range(n)) + [-1]:
+            obj[j] -= row[j]
+    assert bland(rows, basis, obj), "phase 1 is bounded below"
+    if obj[-1] != 0:
+        return ("infeasible", None, None, None)
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if rows[i][j] != 0), None)
+            if enter is None:
+                continue
+            pivot(rows, basis, obj, i, enter)
+        keep.append(i)
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = [Fraction(v) for v in c] + [zero]
+    for i, bi in enumerate(basis):
+        if obj[bi] != 0:
+            obj = eliminate(obj, bi, rows[i])
+    if not bland(rows, basis, obj):
+        return ("unbounded", None, None, None)
+    values = [zero] * n
+    for i, bi in enumerate(basis):
+        values[bi] = rows[i][-1]
+    objective = sum((Fraction(cj) * v for cj, v in zip(c, values)), zero)
+    return ("optimal", objective, values, tuple(sorted(basis)))
+
+
 def hull_feasible_via_scipy(q: int, x: list, edges: list) -> bool:
     """Hull membership of a fractional solution, decided edge by edge.
 

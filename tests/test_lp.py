@@ -173,8 +173,15 @@ from smcsp.distributions import _make_distribution
 from smcsp.model import PropertyViolation, covering_predicate
 
 assert not __debug__, "expected python -O"
+val = lp.val
 lp.val = lambda inst, x: Fraction(-1)
 print("lp exit", cli.main(["lp", sys.argv[1]]))
+lp.val = val
+dict_check = ["dict-check", sys.argv[1], "--eps", "1/2", "--delta", "1/10",
+              "--r", "2"]
+print("dict-check exit", cli.main(dict_check))
+cli.bucket_constant_opt = lambda D: (Fraction(-1), ())
+print("broken dict-check exit", cli.main(dict_check))
 pred = covering_predicate(2)
 for probs in ({(0, 1): Fraction(1, 2)}, {(0, 0): Fraction(1)}):
     try:
@@ -194,8 +201,13 @@ def test_checks_survive_python_O():
          str(root / "fixtures" / "vc_edge.json")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = [line for line in proc.stdout.splitlines()
+             if " exit " in line or line.startswith("caught")]
     assert lines[0] == "lp exit 1"
     assert "differs from val(x)" in proc.stderr
-    assert lines[1] == "caught distribution has total mass 1/2"
-    assert lines[2] == "caught support atom (0, 0) rejected by predicate"
+    # the cube-constant identity of dict-check
+    assert lines[1] == "dict-check exit 0"
+    assert lines[2] == "broken dict-check exit 1"
+    assert "differs from rounding value" in proc.stderr
+    assert lines[3] == "caught distribution has total mass 1/2"
+    assert lines[4] == "caught support atom (0, 0) rejected by predicate"

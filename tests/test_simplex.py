@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import oracles
 from smcsp import io, lp, randgen
 from smcsp.rounding import perturb
 from smcsp.simplex import (SimplexError, find_feasible_point,
@@ -61,6 +64,11 @@ def test_solution_is_basic_and_exact():
     # constraints hold exactly
     for row, rhs in zip(A, b):
         assert sum(a * v for a, v in zip(row, res.values)) == rhs
+    # any input Fraction() accepts gives the same result
+    for conv in (int, str):
+        assert solve_standard_form([[conv(a) for a in row] for row in A],
+                                   [conv(v) for v in b],
+                                   [conv(v) for v in c]) == res
     # no rows and no negative cost: the origin, with an empty basis
     for c in ([F(2), F(0), F(1, 3)], []):
         res = solve_standard_form([], [], c)
@@ -144,6 +152,69 @@ def test_negative_rhs_is_normalized():
 
 def test_simplex_error_type_exists():
     assert issubclass(SimplexError, RuntimeError)
+
+
+# odd denominators above 2**65: the reduced fraction keeps a
+# denominator above 2**64 for every numerator drawn
+_HUGE = st.builds(lambda k, s, d: k + F(s, 2**65 + 2 * d + 1),
+                  st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2]),
+                  st.integers(0, 40))
+
+
+@st.composite
+def standard_forms(draw):
+    """``(A, b, c, huge)`` of int and Fraction entries: negative ``b``,
+    zero right-hand sides (degenerate ratio ties), copied and all-zero
+    rows, empty ``A`` and, when ``huge``, entries whose denominators
+    exceed 2**64."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 6))
+    huge = draw(st.booleans())
+    small = st.sampled_from([0, 0, 0, 1, 1, -1, 2, -2, F(1, 2), F(-1, 3)])
+    entry = st.one_of(small, _HUGE) if huge else small
+    if draw(st.booleans()):  # mostly zero: ties in every ratio test
+        rhs = st.sampled_from([0, 0, 0, 0, 0, 1, -1])
+    else:
+        rhs = st.sampled_from([0, 0, 1, 2, -1, -3, F(1, 2)])
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(rhs) for _ in range(m)]
+    for kind in draw(st.lists(st.sampled_from(["copy", "zero", "bad"]),
+                              max_size=2)):
+        if kind == "copy" and A:
+            i = draw(st.integers(0, len(A) - 1))
+            k = F(draw(st.sampled_from([1, -1, 2, F(1, 3)])))
+            A.append([k * a for a in A[i]])
+            b.append(k * b[i])
+        else:  # a zero row, consistent unless "bad"
+            A.append([0] * n)
+            b.append(int(kind == "bad"))
+    order = draw(st.permutations(range(len(A))))
+    A, b = [A[i] for i in order], [b[i] for i in order]
+    c = [draw(st.sampled_from([0, 1, -1, 3, -2, F(1, 4)])) for _ in range(n)]
+    return A, b, c, huge
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(standard_forms())
+def test_matches_dense_bland_oracle(lp_input):
+    A, b, c, huge = lp_input
+    got = solve_standard_form(A, b, c)
+    status, objective, values, basis = oracles.bland_dense(A, b, c)
+    assert got.status == status
+    assert got.basis == basis
+    assert got.values == values
+    assert got.objective == objective
+    # floats cannot hold the 2**-65 offsets of the huge entries, and
+    # linprog needs a column
+    if status != "optimal" or huge or not c:
+        return
+    res = linprog(np.array([float(v) for v in c]),
+                  A_eq=np.array([[float(a) for a in row] for row in A])
+                  if A else None,
+                  b_eq=np.array([float(v) for v in b]) if A else None,
+                  bounds=[(0, None)] * len(c), method="highs")
+    assert res.status == 0, res.message
+    assert abs(res.fun - float(objective)) <= 1e-7 * (1 + abs(res.fun))
 
 
 # sha256 of every pinned Bland result below; it changes only if some
