@@ -26,8 +26,8 @@ from .fourier import (biased_fourier, conditional_variance_influence,
                       dictator_table, influence)
 from .gaussian import check_gamma_inequalities, gamma, gamma_mc
 from .lp import lp_value, solve_lp, standard_hvc_lp, val
-from .model import (brute_force_opt, check_solution, covering_predicate,
-                    make_instance)
+from .model import (PropertyViolation, brute_force_opt, check_solution,
+                    covering_predicate, make_instance)
 from .rounding import (bucketed_instance, round_solution,
                        verify_perturbation)
 from .unique_games import UgInstance, compose, completeness_solution, \
@@ -52,7 +52,10 @@ def criterion_1():
         inst = randgen.hvc(k)
         lpv = lp_value(inst)
         xstar = [F(1, k)] * k
-        assert val(inst, xstar) == F(1, k)
+        uniform = val(inst, xstar)
+        if uniform != F(1, k):
+            raise PropertyViolation(f"k={k}: val of the uniform point is "
+                                    f"{uniform}, not 1/{k}")
         rounded = round_solution(inst, xstar, F(1, 2 * k)).value
         opt, _ = brute_force_opt(inst)
         good = lpv == F(1, k) and rounded == 1 and opt == F(1, k)
@@ -314,13 +317,18 @@ def criterion_11():
     vc = randgen.vc_edge()
     x = [F(1, 2)] * 2
     lpv = F(1, 2)
-    assert lp_value(vc) == lpv
+    relaxed = lp_value(vc)
+    if relaxed != lpv:
+        raise PropertyViolation(f"vc_edge relaxation is {relaxed}, "
+                                f"not {lpv}")
     cubes = {r: generate_dict(vc, x, r, F(1, 10), F(1, 2))
              for r in (1, 2, 3)}
     ok = True
     notes = []
     for game, labels in _game_corpus():
-        assert ug_satisfied_weight(game, labels) == 1
+        if ug_satisfied_weight(game, labels) != 1:
+            raise PropertyViolation(f"planted labeling {labels} does not "
+                                    "satisfy its game")
         D = cubes[game.r]
         composed = compose(game, D)
         _, rep = completeness_solution(game, labels, game.left, D,

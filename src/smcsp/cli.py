@@ -16,6 +16,7 @@ decimals; the two are never mixed in one field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -306,9 +307,7 @@ def cmd_analyze_influences(args) -> int:
     labels = io.parse_assignment(_read(args.assignment), D.instance)
     if args.p:
         p = io.parse_rational(args.p, "--p")
-        D = type(D)(D.instance, D.r, D.delta, D.eps, D.bucket_values,
-                    (p,) * D.m, D.bucket_weights, D.bucket_of,
-                    D.source_value, D.points)
+        D = dataclasses.replace(D, tilde_values=(p,) * D.m)
     tau = io.parse_rational(args.tau, "--tau") if args.tau else ZERO
     d = args.d if args.d is not None else D.r
     report = pseudo_random_check(D, labels, tau, d)
@@ -442,17 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once; parse_args does not change it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except io.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -136,12 +136,6 @@ def margin(dist: EdgeDistribution, i: int) -> tuple:
     return tuple(out)
 
 
-def margin_mean(dist: EdgeDistribution, i: int) -> Fraction:
-    """Expected label of coordinate i."""
-    return sum((Fraction(a) * p for a, p in enumerate(margin(dist, i)) if a),
-               ZERO)
-
-
 def expected_margin(q: int, pt: Point, delta=None) -> tuple:
     """Margin predicted from the vertex value, optionally smoothed.
 

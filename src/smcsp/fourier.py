@@ -73,11 +73,6 @@ class BiasedFourierExpansion:
         return sum(self.coefficient_sq(m) for m in range(1 << self.r)
                    if m & bit and m.bit_count() <= d)
 
-    def degree_weight(self, d: int):
-        """Total squared coefficient mass at degree exactly d."""
-        return sum(self.coefficient_sq(m) for m in range(1 << self.r)
-                   if m.bit_count() == d)
-
     def _check_coord(self, i: int) -> None:
         if not 0 <= i < self.r:
             raise ValueError(f"coordinate {i} out of range for r={self.r}")

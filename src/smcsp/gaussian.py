@@ -22,7 +22,6 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 QUAD_EPSABS = 1e-12
-TOLERANCE = 1e-8
 
 
 def _check_prob(value: float, name: str) -> float:

@@ -24,6 +24,12 @@ Permutations are written 1-indexed on the wire (``pi[j]`` is the image
 of ``j``) and converted to 0-based tuples internally.  Serialization is
 canonical, so parse -> serialize -> parse is a fixed point.  A top-level
 ``"meta"`` key is tolerated and ignored in both documents.
+
+The parsers read JSON types (a bool is never an integer), check key
+sets, parse rationals and resolve ids to indices.  Every structural
+rule, such as the alphabet range, arities, unique ids, weight sums and
+bijections, belongs to the model's validators; their complaints are
+re-raised as ``ParseError``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Edge, Instance, Point, Predicate, validate_instance
+from .model import (Edge, Instance, Point, Predicate, check_solution,
+                    make_instance, validate_assignment)
 from .unique_games import UgInstance, validate_ug
 
 
@@ -42,11 +49,9 @@ class ParseError(ValueError):
 
 
 def parse_rational(value, what: str = "value") -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{what}: expected a rational, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:  # not a bool
         return Fraction(value)
-    if not isinstance(value, str):
+    if type(value) is not str:
         raise ParseError(f"{what}: expected 'num/den' string or integer, "
                          f"got {value!r}")
     parts = value.split("/")
@@ -69,96 +74,104 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _expect_keys(obj: dict, required: set, optional: set, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{what}: expected a JSON object")
-    keys = set(obj)
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer",
+               str: "a string", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its JSON type is ``kind``; a bool is not an integer."""
+    if type(value) is not kind:
+        raise ParseError(f"{what}: expected {_JSON_TYPES[kind]}, "
+                         f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _expect_keys(obj, required: set, what: str,
+                 optional: frozenset = frozenset()) -> dict:
+    """``obj`` as an object with every required key and no unknown one."""
+    if type(obj) is dict and obj.keys() == required:
+        return obj
+    keys = _typed(obj, dict, what).keys()
     missing = required - keys
     if missing:
         raise ParseError(f"{what}: missing keys {sorted(missing)}")
     unknown = keys - required - optional
     if unknown:
         raise ParseError(f"{what}: unknown keys {sorted(unknown)}")
+    return obj
 
 
-def _load(text: str) -> dict:
+def _load(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _validated(check, *args):
+    """Run a model validator; its ``ValueError`` becomes a ``ParseError``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------
 
+_EDGE_KEYS = frozenset({"vertices", "predicate"})
+
+
 def parse_instance(text: str) -> Instance:
-    doc = _load(text)
-    _expect_keys(doc, {"q", "vertices", "predicates", "edges"}, {"meta"},
-                 "instance")
-    q = doc["q"]
-    if not isinstance(q, int) or q < 2:
-        raise ParseError(f"q must be an integer >= 2, got {q!r}")
+    """Read an instance document; ``make_instance`` validates its structure."""
+    doc = _expect_keys(_load(text), {"q", "vertices", "predicates", "edges"},
+                       "instance", {"meta"})
+    q = _typed(doc["q"], int, "q")
 
     ids, weights = [], []
-    for i, v in enumerate(doc["vertices"]):
-        _expect_keys(v, {"id", "weight"}, set(), f"vertex #{i}")
-        if not isinstance(v["id"], str) or not v["id"]:
-            raise ParseError(f"vertex #{i}: id must be a nonempty string")
-        ids.append(v["id"])
+    for i, v in enumerate(_typed(doc["vertices"], list, "vertices")):
+        _expect_keys(v, {"id", "weight"}, f"vertex #{i}")
+        ids.append(_typed(v["id"], str, f"vertex #{i}: id"))
         weights.append(parse_rational(v["weight"], f"weight of {v['id']}"))
-    if len(set(ids)) != len(ids):
-        raise ParseError("duplicate vertex ids")
 
     predicates = []
-    for i, p in enumerate(doc["predicates"]):
-        _expect_keys(p, {"name", "arity", "minimal"}, set(), f"predicate #{i}")
-        name, arity = p["name"], p["arity"]
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"predicate #{i}: name must be a nonempty string")
-        if not isinstance(arity, int) or arity < 1:
-            raise ParseError(f"predicate {name}: arity must be an integer >= 1")
-        minimal = []
-        for m in p["minimal"]:
-            if (not isinstance(m, list) or len(m) != arity
-                    or not all(isinstance(a, int) for a in m)):
-                raise ParseError(f"predicate {name}: bad minimal element {m!r} "
-                                 f"(expected {arity} integers)")
-            if not all(0 <= a < q for a in m):
-                raise ParseError(f"predicate {name}: minimal element {m} "
-                                 f"outside alphabet [0, {q})")
-            minimal.append(tuple(m))
-        predicates.append(Predicate(name, arity, q, tuple(sorted(set(minimal)))))
-    by_name = {p.name: i for i, p in enumerate(predicates)}
-    if len(by_name) != len(predicates):
-        raise ParseError("duplicate predicate names")
+    for i, p in enumerate(_typed(doc["predicates"], list, "predicates")):
+        what = f"predicate #{i}"
+        _expect_keys(p, {"name", "arity", "minimal"}, what)
+        minimal = {tuple([_typed(a, int, f"{what}: label") for a in
+                          _typed(m, list, f"{what}: minimal element")])
+                   for m in _typed(p["minimal"], list, f"{what}: minimal")}
+        predicates.append(Predicate(_typed(p["name"], str, f"{what}: name"),
+                                    _typed(p["arity"], int, f"{what}: arity"),
+                                    q, tuple(sorted(minimal))))
 
-    edges = []
     index_of = {vid: i for i, vid in enumerate(ids)}
-    for i, e in enumerate(doc["edges"]):
-        _expect_keys(e, {"vertices", "predicate"}, set(), f"edge #{i}")
-        pname = e["predicate"]
-        if pname not in by_name:
-            raise ParseError(f"edge #{i}: unknown predicate name {pname!r}")
-        pidx = by_name[pname]
-        verts = []
-        for vid in e["vertices"]:
-            if vid not in index_of:
-                raise ParseError(f"edge #{i}: unknown vertex id {vid!r}")
-            verts.append(index_of[vid])
-        if len(verts) != predicates[pidx].arity:
-            raise ParseError(
-                f"edge #{i}: {len(verts)} vertices but predicate {pname} "
-                f"has arity {predicates[pidx].arity}"
-            )
-        edges.append(Edge(tuple(verts), pidx))
+    by_name = {p.name: i for i, p in enumerate(predicates)}
+    edges = []
+    for i, e in enumerate(_typed(doc["edges"], list, "edges")):
+        _expect_keys(e, _EDGE_KEYS, f"edge #{i}")
+        vids = e["vertices"]
+        try:
+            if type(vids) is not list:  # a string would iterate as ids
+                raise TypeError
+            edges.append(Edge(tuple([index_of[vid] for vid in vids]),
+                              by_name[e["predicate"]]))
+        except (KeyError, TypeError):
+            raise _edge_error(f"edge #{i}", e, index_of, by_name) from None
+    return _validated(make_instance, q, weights, predicates, edges, ids)
 
-    inst = Instance(q, tuple(ids), tuple(weights), tuple(predicates),
-                    tuple(edges))
-    problems = validate_instance(inst)
-    if problems:
-        raise ParseError("invalid instance: " + "; ".join(problems))
-    return inst
+
+def _edge_error(what: str, e: dict, index_of: dict, by_name: dict):
+    """The first unreadable or unknown reference of an edge."""
+    name = _typed(e["predicate"], str, f"{what}: predicate")
+    if name not in by_name:
+        return ParseError(f"{what}: unknown predicate name {name!r}")
+    vids = _typed(e["vertices"], list, f"{what}: vertices")
+    vid = next(vid for vid in vids
+               if _typed(vid, str, f"{what}: vertex id") not in index_of)
+    return ParseError(f"{what}: unknown vertex id {vid!r}")
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -186,32 +199,28 @@ def serialize_instance(inst: Instance) -> str:
 # fractional solutions and assignments
 # ---------------------------------------------------------------------------
 
+def _vertex_table(doc: dict, key: str, inst: Instance, what: str) -> list:
+    """Values of the object ``doc[key]``, keyed by exactly the vertex ids."""
+    table = _expect_keys(doc[key], set(inst.vertex_ids), f"{what}: {key!r}")
+    return [table[vid] for vid in inst.vertex_ids]
+
+
 def parse_solution(text: str, inst: Instance) -> list:
     """Fractional solution document ``{"x": {vertex-id: value}}``.
 
     Values are rationals for ``q == 2`` and length-q rational arrays
-    otherwise.
+    otherwise; ``check_solution`` checks their shape.
     """
-    doc = _load(text)
-    _expect_keys(doc, {"x"}, {"meta"}, "solution")
-    table = doc["x"]
-    if not isinstance(table, dict):
-        raise ParseError("solution: 'x' must be an object")
-    unknown = set(table) - set(inst.vertex_ids)
-    if unknown:
-        raise ParseError(f"solution: unknown vertex ids {sorted(unknown)}")
-    missing = set(inst.vertex_ids) - set(table)
-    if missing:
-        raise ParseError(f"solution: missing vertex ids {sorted(missing)}")
-    x: list[Point] = []
-    for vid in inst.vertex_ids:
-        raw = table[vid]
-        if inst.q == 2:
-            x.append(parse_rational(raw, f"x[{vid}]"))
-        else:
-            if not isinstance(raw, list) or len(raw) != inst.q:
-                raise ParseError(f"x[{vid}]: expected a length-{inst.q} array")
-            x.append(tuple(parse_rational(a, f"x[{vid}]") for a in raw))
+    doc = _expect_keys(_load(text), {"x"}, "solution", {"meta"})
+    raw = _vertex_table(doc, "x", inst, "solution")
+    if inst.q == 2:
+        x = [parse_rational(a, f"x[{vid}]")
+             for vid, a in zip(inst.vertex_ids, raw)]
+    else:
+        x = [tuple(parse_rational(a, f"x[{vid}]")
+                   for a in _typed(pt, list, f"x[{vid}]"))
+             for vid, pt in zip(inst.vertex_ids, raw)]
+    _validated(check_solution, inst, x)
     return x
 
 
@@ -227,25 +236,12 @@ def serialize_solution(inst: Instance, x: Sequence[Point]) -> str:
 
 def parse_assignment(text: str, inst: Instance) -> tuple:
     """Assignment document ``{"labels": {vertex-id: label}}``."""
-    doc = _load(text)
-    _expect_keys(doc, {"labels"}, {"meta"}, "assignment")
-    table = doc["labels"]
-    if not isinstance(table, dict):
-        raise ParseError("assignment: 'labels' must be an object")
-    unknown = set(table) - set(inst.vertex_ids)
-    if unknown:
-        raise ParseError(f"assignment: unknown vertex ids {sorted(unknown)}")
-    missing = set(inst.vertex_ids) - set(table)
-    if missing:
-        raise ParseError(f"assignment: missing vertex ids {sorted(missing)}")
-    labels = []
-    for vid in inst.vertex_ids:
-        a = table[vid]
-        if not isinstance(a, int) or not (0 <= a < inst.q):
-            raise ParseError(f"label of {vid}: expected an integer in "
-                             f"[0, {inst.q}), got {a!r}")
-        labels.append(a)
-    return tuple(labels)
+    doc = _expect_keys(_load(text), {"labels"}, "assignment", {"meta"})
+    labels = tuple(_typed(a, int, f"label of {vid}") for vid, a in
+                   zip(inst.vertex_ids,
+                       _vertex_table(doc, "labels", inst, "assignment")))
+    _validated(validate_assignment, inst, labels)
+    return labels
 
 
 def serialize_assignment(inst: Instance, labels: Sequence[int]) -> str:
@@ -258,38 +254,30 @@ def serialize_assignment(inst: Instance, labels: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_ug(text: str) -> UgInstance:
-    doc = _load(text)
-    _expect_keys(doc, {"r", "left", "right", "edges"}, {"meta"}, "unique game")
-    r = doc["r"]
-    if not isinstance(r, int) or r < 1:
-        raise ParseError(f"r must be an integer >= 1, got {r!r}")
-    left = doc["left"]
-    right = doc["right"]
-    for side, name in ((left, "left"), (right, "right")):
-        if (not isinstance(side, list) or not side
-                or not all(isinstance(s, str) and s for s in side)):
-            raise ParseError(f"{name}: expected a nonempty list of ids")
-    if set(left) & set(right):
-        raise ParseError("left and right vertex ids overlap")
-    if len(set(left)) != len(left) or len(set(right)) != len(right):
-        raise ParseError("duplicate unique-game vertex ids")
+    """Read a game document; ``validate_ug`` checks its structure."""
+    doc = _expect_keys(_load(text), {"r", "left", "right", "edges"},
+                       "unique game", {"meta"})
+    r = _typed(doc["r"], int, "r")
+    left = [_typed(vid, str, "left id")
+            for vid in _typed(doc["left"], list, "left")]
+    right = [_typed(vid, str, "right id")
+             for vid in _typed(doc["right"], list, "right")]
     left_of = {vid: i for i, vid in enumerate(left)}
     right_of = {vid: i for i, vid in enumerate(right)}
     edges = []
-    for i, e in enumerate(doc["edges"]):
-        _expect_keys(e, {"u", "v", "weight", "pi"}, set(), f"ug edge #{i}")
-        if e["u"] not in left_of:
-            raise ParseError(f"ug edge #{i}: unknown left id {e['u']!r}")
-        if e["v"] not in right_of:
-            raise ParseError(f"ug edge #{i}: unknown right id {e['v']!r}")
-        wt = parse_rational(e["weight"], f"ug edge #{i} weight")
-        pi = e["pi"]
-        if (not isinstance(pi, list) or len(pi) != r
-                or sorted(pi) != list(range(1, r + 1))):
-            raise ParseError(f"ug edge #{i}: pi must be a 1-indexed "
-                             f"permutation of 1..{r}")
-        perm = tuple(a - 1 for a in pi)
-        edges.append((left_of[e["u"]], right_of[e["v"]], wt, perm))
+    for i, e in enumerate(_typed(doc["edges"], list, "edges")):
+        what = f"ug edge #{i}"
+        _expect_keys(e, {"u", "v", "weight", "pi"}, what)
+        u = _typed(e["u"], str, f"{what}: u")
+        if u not in left_of:
+            raise ParseError(f"{what}: unknown left id {u!r}")
+        v = _typed(e["v"], str, f"{what}: v")
+        if v not in right_of:
+            raise ParseError(f"{what}: unknown right id {v!r}")
+        wt = parse_rational(e["weight"], f"{what} weight")
+        perm = tuple(_typed(a, int, f"{what}: pi entry") - 1
+                     for a in _typed(e["pi"], list, f"{what}: pi"))
+        edges.append((left_of[u], right_of[v], wt, perm))
     ug = UgInstance(r, tuple(left), tuple(right), tuple(edges))
     problems = validate_ug(ug)
     if problems:

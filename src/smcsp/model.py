@@ -212,7 +212,7 @@ def validate_instance(inst: Instance) -> list:
     if len(inst.vertex_ids) == 0:
         problems.append("instance has no vertices")
     if len(set(inst.vertex_ids)) != len(inst.vertex_ids):
-        problems.append("vertex ids are not unique")
+        problems.append("duplicate vertex ids (ids are not unique)")
     if any(not vid for vid in inst.vertex_ids):
         problems.append("empty vertex id")
     for vid, w in zip(inst.vertex_ids, inst.weights):
@@ -225,7 +225,7 @@ def validate_instance(inst: Instance) -> list:
         problems.append(f"weights sum to {total}, expected exactly 1")
     names = [p.name for p in inst.predicates]
     if len(set(names)) != len(names):
-        problems.append("predicate names are not unique")
+        problems.append("duplicate predicate names (names are not unique)")
     for p in inst.predicates:
         problems.extend(p.validate())
         if p.q != inst.q:
@@ -255,9 +255,10 @@ def validate_instance(inst: Instance) -> list:
 def validate_assignment(inst: Instance, labels: Sequence[int]) -> None:
     if len(labels) != inst.n:
         raise ValueError(f"assignment length {len(labels)} != n = {inst.n}")
-    for v, a in enumerate(labels):
+    for vid, a in zip(inst.vertex_ids, labels):
         if not (0 <= a < inst.q):
-            raise ValueError(f"label {a} of vertex {v} outside alphabet")
+            raise ValueError(f"label {a} of vertex {vid} outside alphabet "
+                             f"[0, {inst.q})")
 
 
 def assignment_cost(inst: Instance, labels: Sequence[int]) -> Fraction:
@@ -400,8 +401,11 @@ def point_in_domain(q: int, pt: Point) -> bool:
 def check_solution(inst: Instance, x: Sequence[Point]) -> None:
     if len(x) != inst.n:
         raise ValueError(f"solution length {len(x)} != n = {inst.n}")
-    for pt in x:
-        check_point(inst.q, pt)
+    for vid, pt in zip(inst.vertex_ids, x):
+        try:
+            check_point(inst.q, pt)
+        except ValueError as exc:
+            raise ValueError(f"x[{vid}]: {exc}") from None
 
 
 def point_value(q: int, pt: Point) -> Fraction:
@@ -423,10 +427,6 @@ def label_point(q: int, a: int) -> Point:
     if q == 2:
         return Fraction(a)
     return tuple(ONE if i == a else ZERO for i in range(q))
-
-
-def top_point(q: int) -> Point:
-    return label_point(q, q - 1)
 
 
 def mix_points(q: int, points: Sequence[Point], coeffs: Sequence[Fraction]) -> Point:

@@ -12,8 +12,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .model import (Instance, Predicate, covering_predicate, is_feasible,
-                    make_instance, solution_from_assignments)
+from .model import (Instance, Predicate, PropertyViolation,
+                    covering_predicate, is_feasible, make_instance,
+                    solution_from_assignments)
 from .unique_games import UgInstance
 
 
@@ -80,7 +81,9 @@ def random_feasible_assignment(rng: random.Random, inst: Instance) -> tuple:
         if not pred.accepts(tuple(labels[v] for v in e.vertices)):
             for v in e.vertices:
                 labels[v] = inst.q - 1
-    assert is_feasible(inst, labels)
+    if not is_feasible(inst, labels):
+        raise PropertyViolation("labeling with every violated edge pushed "
+                                "to the top label is infeasible")
     return tuple(labels)
 
 

@@ -31,6 +31,7 @@ from .lp import check_feasible_fractional, solve_lp, val
 from .model import (
     Instance,
     Point,
+    PropertyViolation,
     ZERO,
     ONE,
     brute_force_opt,
@@ -82,7 +83,10 @@ def perturb(inst: Instance, x: Sequence[Point], eps) -> PerturbedSolution:
     bucket_values = sorted(set(x_eps))
     index = {v: i for i, v in enumerate(bucket_values)}
     bucket_of = [index[pt] for pt in x_eps]
-    assert len(bucket_values) <= grid_size(inst.q, eps)
+    points = grid_size(inst.q, eps)
+    if len(bucket_values) > points:
+        raise PropertyViolation(f"{len(bucket_values)} buckets exceed the "
+                                f"{points} grid points")
     return PerturbedSolution(eps, list(x), x_eps, bucket_values, bucket_of)
 
 

@@ -59,7 +59,9 @@ def validate_ug(ug: UgInstance) -> list:
         problems.append("duplicate vertex ids")
     if set(ug.left) & set(ug.right):
         problems.append("left and right ids overlap")
-    identity = list(range(ug.r))
+    if not all(isinstance(vid, str) and vid
+               for vid in itertools.chain(ug.left, ug.right)):
+        problems.append("vertex ids must be nonempty strings")
     total = ZERO
     for i, (u, v, wt, perm) in enumerate(ug.edges):
         if not 0 <= u < len(ug.left):
@@ -71,9 +73,9 @@ def validate_ug(ug: UgInstance) -> list:
                             f"rational, got {wt!r}")
         else:
             total += wt
-        if sorted(perm) != identity:
-            problems.append(f"edge #{i}: {perm} is not a bijection on "
-                            f"0..{ug.r - 1}")
+        if len(perm) != ug.r or sorted(perm) != list(range(ug.r)):
+            problems.append(f"edge #{i}: pi is not a bijection (a "
+                            f"permutation of the {ug.r} labels)")
     if not ug.edges:
         problems.append("game has no edges")
     elif total != 1:
@@ -116,10 +118,6 @@ def ug_brute_force(ug: UgInstance, *, max_bits: int | None = None):
 def p_left(ug: UgInstance, u: int) -> Fraction:
     """Total weight of edges at a left vertex (a probability mass)."""
     return sum((wt for uu, _, wt, _ in ug.edges if uu == u), ZERO)
-
-
-def p_right(ug: UgInstance, v: int) -> Fraction:
-    return sum((wt for _, vv, wt, _ in ug.edges if vv == v), ZERO)
 
 
 def incident_right(ug: UgInstance, v: int) -> list:

@@ -1,13 +1,17 @@
 """Command-line surface: outputs, exit codes, pipeline round trips."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from smcsp import cli, io
-from smcsp.dictators import dict_view
+from smcsp.dictators import dict_view, pseudo_random_check
 from smcsp.randgen import vc_edge
 from smcsp.unique_games import UgInstance, completeness_solution, compose
 
@@ -203,11 +207,39 @@ def test_analyze_influences(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["argmax"][1] == 1
+    # --p overrides the recovered bias of every cube
+    code, out, _ = run(capsys, "analyze", "influences", dict_file,
+                       "--assignment", sel, "--p", "1/3", "--json")
+    assert code == 0
+    biased = dataclasses.replace(D, tilde_values=(F(1, 3),) * D.m)
+    report = pseudo_random_check(biased, dictator_assignment(D, 1), F(0),
+                                 D.r)
+    assert json.loads(out) == cli._jsonable(report)
 
 
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+def test_one_parser_serves_many_calls(capsys):
+    """In-process calls print what a fresh process prints for each."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    vc = str(FIXTURES / "vc_edge.json")
+    calls = [["lp", vc, "--lambdas"], ["lp", vc],
+             ["round", hvc3(), "--eps", "1/6", "--report"],
+             ["round", hvc3(), "--eps", "1/6"],
+             ["analyze", "correlation", hvc3(), "--edge", "0",
+              "--split", "1|2,3", "--json"]]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "smcsp.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                      fresh.stderr)
+
 
 def test_missing_file_is_exit_3(capsys):
     code, _, err = run(capsys, "lp", "/no/such/file.json")

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from smcsp.distributions import (cheeger_check, expected_margin,
                                  extract_edge_distribution, joint_matrix,
-                                 margin, margin_mean, maximal_correlation,
+                                 margin, maximal_correlation,
                                  min_atom, restrict, smooth)
 from smcsp.lp import solve_lp
 from smcsp.model import upward_closure
@@ -43,7 +43,6 @@ def test_margins_match_the_solution():
     dist = _dist(inst, x)
     assert margin(dist, 0) == (F(2, 3), F(1, 3))
     assert margin(dist, 1) == (F(1, 3), F(2, 3))
-    assert margin_mean(dist, 0) == F(1, 3)
 
 
 def test_smooth_margins_shift_toward_top():

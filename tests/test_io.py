@@ -159,3 +159,24 @@ def test_ug_rejection_catalog(mutate, fragment):
     mutate(doc)
     with pytest.raises(io.ParseError, match=fragment):
         io.parse_ug(json.dumps(doc))
+
+
+def test_empty_ids_are_rejected_by_the_validators():
+    doc = json.loads(io.serialize_instance(vc_edge()))
+    doc["vertices"][0]["id"] = ""
+    doc["edges"][0]["vertices"][0] = ""
+    with pytest.raises(io.ParseError, match="empty vertex id"):
+        io.parse_instance(json.dumps(doc))
+    doc = json.loads(io.serialize_ug(twisted_cycle()))
+    doc["left"][0] = ""
+    for e in doc["edges"]:
+        if e["u"] == "u0":
+            e["u"] = ""
+    with pytest.raises(io.ParseError, match="nonempty strings"):
+        io.parse_ug(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000, "{"])
+def test_unreadable_json_is_a_parse_error(text):
+    with pytest.raises(io.ParseError, match="invalid JSON"):
+        io.parse_instance(text)

@@ -166,9 +166,10 @@ def test_point_value_consistency_with_objective():
 
 
 _OPTIMIZED_CHECKS = """
+import random
 import sys
 from fractions import Fraction
-from smcsp import cli, lp
+from smcsp import acceptance, cli, lp, randgen, rounding
 from smcsp.distributions import _make_distribution
 from smcsp.model import PropertyViolation, covering_predicate
 
@@ -188,6 +189,24 @@ for probs in ({(0, 1): Fraction(1, 2)}, {(0, 0): Fraction(1)}):
         _make_distribution(2, 2, pred, probs)
     except PropertyViolation as exc:
         print("caught", exc)
+inst = randgen.vc_edge()
+randgen.is_feasible = lambda inst, labels: False
+try:
+    randgen.random_feasible_assignment(random.Random(0), inst)
+except PropertyViolation as exc:
+    print("caught", exc)
+rounding.grid_size = lambda q, eps: 0
+try:
+    rounding.perturb(inst, [Fraction(1, 2)] * 2, Fraction(1, 2))
+except PropertyViolation as exc:
+    print("caught", exc)
+acceptance.val = lambda inst, x: Fraction(-1)
+acceptance.lp_value = lambda inst: Fraction(-1)
+for criterion in (1, 11):
+    print("criterion", criterion, acceptance.run([criterion])[0]["details"])
+acceptance.lp_value = lp.lp_value
+acceptance.ug_satisfied_weight = lambda game, labels: Fraction(0)
+print("criterion 11", acceptance.run([11])[0]["details"])
 """
 
 
@@ -202,7 +221,7 @@ def test_checks_survive_python_O():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines()
-             if " exit " in line or line.startswith("caught")]
+             if " exit " in line or line.startswith(("caught", "criterion"))]
     assert lines[0] == "lp exit 1"
     assert "differs from val(x)" in proc.stderr
     # the cube-constant identity of dict-check
@@ -211,3 +230,14 @@ def test_checks_survive_python_O():
     assert "differs from rounding value" in proc.stderr
     assert lines[3] == "caught distribution has total mass 1/2"
     assert lines[4] == "caught support atom (0, 0) rejected by predicate"
+    # the generator, perturbation and acceptance-suite checks
+    assert lines[5] == ("caught labeling with every violated edge pushed "
+                        "to the top label is infeasible")
+    assert lines[6] == "caught 1 buckets exceed the 0 grid points"
+    assert lines[7] == ("criterion 1 assertion failed: k=2: val of the "
+                        "uniform point is -1, not 1/2")
+    assert lines[8] == ("criterion 11 assertion failed: vc_edge relaxation "
+                        "is -1, not 1/2")
+    assert lines[9].startswith("criterion 11 assertion failed: planted "
+                               "labeling")
+    assert lines[9].endswith("does not satisfy its game")

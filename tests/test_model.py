@@ -16,7 +16,7 @@ from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
                          covering_predicate, is_covering_predicate,
                          is_feasible, label_point, make_instance, mix_points,
                          point_distribution, point_value,
-                         solution_from_assignments, top_point,
+                         solution_from_assignments,
                          upward_closure, validate_instance)
 from smcsp.randgen import (hvc, random_instance, ternary_chain,
                            triangle_cover, vc_edge)
@@ -213,8 +213,6 @@ def test_point_value_general_is_expected_label():
 
 def test_label_and_top_points():
     assert label_point(3, 1) == (0, 1, 0)
-    assert top_point(2) == 1
-    assert top_point(4) == (0, 0, 0, 1)
 
 
 def test_point_distribution_binary():

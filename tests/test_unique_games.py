@@ -12,7 +12,7 @@ from smcsp.model import brute_force_opt
 from smcsp.randgen import random_game, twisted_cycle, vc_edge
 from smcsp.unique_games import (UgInstance, compose, completeness_solution,
                                 decode_labeling, edge_satisfied,
-                                f_vertex_id, incident_right, p_left, p_right,
+                                f_vertex_id, incident_right, p_left,
                                 ug_brute_force, ug_satisfied_weight,
                                 validate_ug)
 
@@ -83,7 +83,6 @@ def test_twisted_cycle_optimum_is_three_quarters():
 def test_vertex_masses():
     ug = _twisted_pair()
     assert p_left(ug, 0) == p_left(ug, 1) == F(1, 2)
-    assert p_right(ug, 0) == 1
     assert len(incident_right(ug, 0)) == 2
 
 
