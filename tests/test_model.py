@@ -82,6 +82,33 @@ def test_validate_catches_duplicate_ids():
     assert any("unique" in p for p in validate_instance(bad))
 
 
+_PAIR = covering_predicate(2)
+_TRIPLE = covering_predicate(3)
+
+
+@pytest.mark.parametrize("edges,expected", [
+    ([Edge((0, 1), 2)], ["edge 0: predicate index 2 out of range"]),
+    ([Edge((0, 1), 0), Edge((1,), -1)],
+     ["edge 1: predicate index -1 out of range"]),
+    ([Edge((0, 1, 0), 0)],
+     ["edge 0: 3 vertices but predicate cover2 has arity 2"]),
+    ([Edge((0, 1), 0), Edge((5, -1), 0)],
+     ["edge 1: vertex index 5 out of range",
+      "edge 1: vertex index -1 out of range"]),
+    ([Edge((2, 0), 1), Edge((0, 9), 7), Edge((1, -3), 0)],
+     ["edge 0: 2 vertices but predicate cover3 has arity 3",
+      "edge 0: vertex index 2 out of range",
+      "edge 1: predicate index 7 out of range",
+      "edge 2: vertex index -3 out of range"]),
+    ([Edge((0, 1), 0), Edge((1, 1, 0), 1), Edge((1, 1), 0)], []),
+])
+def test_validate_instance_edge_messages_pinned(edges, expected):
+    # built directly, so make_instance's normalization is bypassed
+    inst = model.Instance(2, ("u", "v"), (F(1, 2), F(1, 2)),
+                          (_PAIR, _TRIPLE), tuple(edges))
+    assert validate_instance(inst) == expected
+
+
 def test_edges_may_repeat_vertices():
     inst = make_instance(2, [F(1)], [covering_predicate(2)], [((0, 0), 0)])
     assert is_feasible(inst, (1,))
