@@ -18,9 +18,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy.integrate import quad
-from scipy.stats import norm
-
 QUAD_EPSABS = 1e-12
 
 
@@ -57,6 +54,11 @@ def gamma(rho: float, mu: float, nu: float) -> float:
         # Y = -X: X < t_mu and X <= t_nu.
         return min(mu, nu)
 
+    # imported here, not at the top: scipy takes about a second to import
+    # and only the quadrature uses it
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
     t1 = norm.ppf(mu)
     t2 = norm.ppf(1 - nu)
     s = math.sqrt(1 - rho * rho)
@@ -72,6 +74,7 @@ def gamma_mc(rho: float, mu: float, nu: float, n: int = 10**7,
              seed: int = 0) -> tuple:
     """Monte Carlo check of ``gamma``: returns (estimate, standard_error)."""
     import numpy as np
+    from scipy.stats import norm
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)

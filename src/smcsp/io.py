@@ -151,14 +151,15 @@ def parse_instance(text: str) -> Instance:
     by_name = {p.name: i for i, p in enumerate(predicates)}
     edges = []
     for i, e in enumerate(_typed(doc["edges"], list, "edges")):
-        _expect_keys(e, _EDGE_KEYS, f"edge #{i}")
-        vids = e["vertices"]
         try:
-            if type(vids) is not list:  # a string would iterate as ids
+            vids = e["vertices"]
+            # the checks below name the fault; a string would iterate as ids
+            if e.keys() != _EDGE_KEYS or type(vids) is not list:
                 raise TypeError
             edges.append(Edge(tuple([index_of[vid] for vid in vids]),
                               by_name[e["predicate"]]))
         except (KeyError, TypeError):
+            _expect_keys(e, _EDGE_KEYS, f"edge #{i}")
             raise _edge_error(f"edge #{i}", e, index_of, by_name) from None
     return _validated(make_instance, q, weights, predicates, edges, ids)
 
@@ -174,25 +175,42 @@ def _edge_error(what: str, e: dict, index_of: dict, by_name: dict):
     return ParseError(f"{what}: unknown vertex id {vid!r}")
 
 
+def _top_list(items: list) -> str:
+    """A top-level ``indent=2`` JSON array of already-laid-out items."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
 def serialize_instance(inst: Instance) -> str:
-    doc = {
-        "q": inst.q,
-        "vertices": [
-            {"id": vid, "weight": format_rational(w)}
-            for vid, w in zip(inst.vertex_ids, inst.weights)
-        ],
-        "predicates": [
-            {"name": p.name, "arity": p.arity,
-             "minimal": [list(m) for m in sorted(p.minimal)]}
-            for p in inst.predicates
-        ],
-        "edges": [
-            {"vertices": [inst.vertex_ids[v] for v in e.vertices],
-             "predicate": inst.predicates[e.predicate].name}
-            for e in inst.edges
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The text ``json.dumps(doc, indent=2)`` prints, laid out directly.
+
+    Each vertex id and predicate name is encoded once with ``json.dumps``
+    and reused in every edge.  The few predicates go through
+    ``json.dumps`` itself, shifted one level in; that is exact because a
+    JSON string never holds a raw newline.
+    """
+    ids = [json.dumps(vid) for vid in inst.vertex_ids]
+    names = [json.dumps(p.name) for p in inst.predicates]
+    vertices = [f'    {{\n      "id": {vid},\n      "weight": '
+                f'"{w.numerator}/{w.denominator}"\n    }}'
+                for vid, w in zip(ids, inst.weights)]
+    predicates = [
+        "    " + json.dumps({"name": p.name, "arity": p.arity,
+                             "minimal": [list(m) for m in sorted(p.minimal)]},
+                            indent=2).replace("\n", "\n    ")
+        for p in inst.predicates]
+    sep = ",\n        "
+    edges = [
+        '    {\n      "vertices": '
+        + ("[\n        " + sep.join([ids[v] for v in e.vertices])
+           + "\n      ]" if e.vertices else "[]")
+        + ',\n      "predicate": ' + names[e.predicate] + "\n    }"
+        for e in inst.edges]
+    return (f'{{\n  "q": {json.dumps(inst.q)},\n'
+            f'  "vertices": {_top_list(vertices)},\n'
+            f'  "predicates": {_top_list(predicates)},\n'
+            f'  "edges": {_top_list(edges)}\n}}\n')
 
 
 # ---------------------------------------------------------------------------

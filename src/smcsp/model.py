@@ -168,12 +168,6 @@ class Instance:
     def predicate_of(self, edge: Edge) -> Predicate:
         return self.predicates[edge.predicate]
 
-    def vertex_index(self, vid: str) -> int:
-        try:
-            return self.vertex_ids.index(vid)
-        except ValueError as exc:
-            raise KeyError(f"unknown vertex id {vid!r}") from exc
-
 
 def make_instance(
     q: int,
@@ -183,19 +177,15 @@ def make_instance(
     vertex_ids: Sequence | None = None,
 ) -> Instance:
     """Build an Instance from loose data and validate it."""
-    weights = tuple(Fraction(w) for w in weights)
+    weights = tuple([w if type(w) is Fraction else Fraction(w)
+                     for w in weights])
     if vertex_ids is None:
         vertex_ids = tuple(f"v{i}" for i in range(len(weights)))
     else:
         vertex_ids = tuple(vertex_ids)
-    norm_edges = []
-    for e in edges:
-        if isinstance(e, Edge):
-            norm_edges.append(e)
-        else:
-            verts, pidx = e
-            norm_edges.append(Edge(tuple(verts), pidx))
-    inst = Instance(q, vertex_ids, weights, tuple(predicates), tuple(norm_edges))
+    edges = tuple([e if type(e) is Edge else Edge(tuple(e[0]), e[1])
+                   for e in edges])
+    inst = Instance(q, vertex_ids, weights, tuple(predicates), edges)
     problems = validate_instance(inst)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
@@ -232,19 +222,21 @@ def validate_instance(inst: Instance) -> list:
             problems.append(
                 f"predicate {p.name} has alphabet {p.q}, instance has {inst.q}"
             )
+    n = len(inst.vertex_ids)
+    arities = [p.arity for p in inst.predicates]
     for i, e in enumerate(inst.edges):
-        if not (0 <= e.predicate < len(inst.predicates)):
-            problems.append(f"edge {i}: predicate index {e.predicate} out of range")
+        p, vs = e.predicate, e.vertices
+        if not (0 <= p < len(arities)):
+            problems.append(f"edge {i}: predicate index {p} out of range")
             continue
-        pred = inst.predicates[e.predicate]
-        if len(e.vertices) != pred.arity:
+        if len(vs) != arities[p]:
             problems.append(
-                f"edge {i}: {len(e.vertices)} vertices but predicate "
-                f"{pred.name} has arity {pred.arity}"
+                f"edge {i}: {len(vs)} vertices but predicate "
+                f"{inst.predicates[p].name} has arity {arities[p]}"
             )
-        for v in e.vertices:
-            if not (0 <= v < inst.n):
-                problems.append(f"edge {i}: vertex index {v} out of range")
+        if vs and (min(vs) < 0 or max(vs) >= n):
+            problems.extend(f"edge {i}: vertex index {v} out of range"
+                            for v in vs if not (0 <= v < n))
     return problems
 
 
@@ -321,13 +313,12 @@ def cheapest_labeling(inst: Instance):
         k -= 1
     h = n - k  # vertices h..n-1 form the vectorized block
     block = np.arange(q ** k)
-
-    def digit(v):  # label of vertex v >= h across the block
-        return block // q ** (n - 1 - v) % q
+    # digits[v - h]: the label of vertex v >= h across the block
+    digits = [block // q ** (n - 1 - v) % q for v in range(h, n)]
 
     low_cost = np.zeros(len(block), dtype=dtype)
     for v in range(h, n):
-        low_cost += digit(v).astype(dtype) * int_w[v]
+        low_cost += digits[v - h].astype(dtype) * int_w[v]
     ok_low = np.ones(len(block), dtype=bool)  # edges inside the block
     prefix_edges = []  # (table, block part of the index, prefix part)
     for e in inst.edges:
@@ -336,7 +327,8 @@ def cheapest_labeling(inst: Instance):
         table = np.zeros(q ** pred.arity, dtype=bool)
         for t in upward_closure(pred):
             table[sum(a * r for a, r in zip(t, radix))] = True
-        low = sum(digit(v) * r for v, r in zip(e.vertices, radix) if v >= h)
+        low = sum(digits[v - h] * r for v, r in zip(e.vertices, radix)
+                  if v >= h)
         high = [(v, r) for v, r in zip(e.vertices, radix) if v < h]
         if high:
             prefix_edges.append((table, low, high))
@@ -347,7 +339,9 @@ def cheapest_labeling(inst: Instance):
     for prefix in itertools.product(range(q), repeat=h):
         ok = ok_low.copy()
         for table, low, high in prefix_edges:
-            ok &= table[low + sum(prefix[v] * r for v, r in high)]
+            # shift the small table rather than add to the block-long
+            # index: that would allocate a block-long array per edge
+            ok &= table[sum(prefix[v] * r for v, r in high):][low]
         hits = np.flatnonzero(ok)
         if hits.size == 0:
             continue

@@ -148,35 +148,33 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
     base = D.instance
     cube = len(base.vertex_ids)
     check_bits("UG", ug.n_left * cube, "composed vertex count")
+    at_right = [[] for _ in range(ug.n_right)]
+    for u, v, _, perm in ug.edges:
+        at_right[v].append((u, perm))
     tuple_budget = 0
-    degrees = [len(incident_right(ug, v)) for v in range(ug.n_right)]
     for edge in base.edges:
         k = len(edge.vertices)
-        tuple_budget += sum(dg ** k for dg in degrees)
+        tuple_budget += sum(len(keys) ** k for keys in at_right)
     check_bits("UG", tuple_budget, "composed constraint tuples")
 
     ids = [f"{uid}/{dvid}" for uid in ug.left for dvid in base.vertex_ids]
     masses = [p_left(ug, u) for u in range(ug.n_left)]
     weights = [masses[u] * w for u in range(ug.n_left) for w in base.weights]
 
+    # one table per distinct (u, perm): dict-vertex index -> composed index
     index_of = {pt: i for i, pt in enumerate(D.points)}
-
-    def composed_vertex(u: int, b: int, y: tuple, perm: tuple) -> int:
-        twisted = tuple(y[perm[t]] for t in range(ug.r))
-        return u * cube + index_of[(b, twisted)]
+    tables = {(u, perm): [u * cube + index_of[b, tuple([y[t] for t in perm])]
+                          for b, y in D.points]
+              for u, perm in {key for keys in at_right for key in keys}}
+    incident = [[tables[key] for key in keys] for keys in at_right]
 
     edge_set = set()
     for edge in base.edges:
-        k = len(edge.vertices)
-        points = [D.points[dv] for dv in edge.vertices]
-        for v in range(ug.n_right):
-            for game_edges in itertools.product(incident_right(ug, v),
-                                                repeat=k):
-                verts = tuple(
-                    composed_vertex(game_edges[j][0], points[j][0],
-                                    points[j][1], game_edges[j][3])
-                    for j in range(k))
-                edge_set.add((verts, edge.predicate))
+        dvs, pred = edge.vertices, edge.predicate
+        for combos in incident:
+            for combo in itertools.product(combos, repeat=len(dvs)):
+                edge_set.add((tuple([t[dv] for t, dv in zip(combo, dvs)]),
+                              pred))
     edges = sorted(edge_set)
     return make_instance(base.q, weights, base.predicates, edges, ids)
 

@@ -9,6 +9,7 @@ real check rather than the same code evaluated twice.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -391,3 +392,67 @@ def dictator_weight(val: Fraction, delta: Fraction, q: int) -> Fraction:
     """Exact cost of any single-coordinate solution of a generated
     dictatorship instance."""
     return (1 - delta) * val + delta * (q - 1)
+
+
+def compose_reference(ug, D) -> tuple:
+    """The composed instance's ``(vertex_ids, weights, edges)``, one
+    twisted tuple rebuilt per composed vertex.
+
+    ``ug`` is a game and ``D`` a hypercube instance, read by attribute
+    only; edges are the sorted distinct ``(vertex_indices, predicate)``
+    pairs.
+    """
+    base = D.instance
+    cube = len(base.vertex_ids)
+    ids = tuple(f"{uid}/{dvid}" for uid in ug.left
+                for dvid in base.vertex_ids)
+    masses = [sum((wt for uu, _, wt, _ in ug.edges if uu == u), Fraction(0))
+              for u in range(len(ug.left))]
+    weights = tuple(masses[u] * w for u in range(len(ug.left))
+                    for w in base.weights)
+    index_of = {pt: i for i, pt in enumerate(D.points)}
+
+    def composed_vertex(u, b, y, perm):
+        twisted = tuple(y[perm[t]] for t in range(ug.r))
+        return u * cube + index_of[(b, twisted)]
+
+    edge_set = set()
+    for edge in base.edges:
+        k = len(edge.vertices)
+        points = [D.points[dv] for dv in edge.vertices]
+        for v in range(len(ug.right)):
+            at_v = [e for e in ug.edges if e[1] == v]
+            for game_edges in itertools.product(at_v, repeat=k):
+                verts = tuple(
+                    composed_vertex(game_edges[j][0], points[j][0],
+                                    points[j][1], game_edges[j][3])
+                    for j in range(k))
+                edge_set.add((verts, edge.predicate))
+    return ids, weights, sorted(edge_set)
+
+
+# ---------------------------------------------------------------------------
+# instance documents, through the json module's own indenting encoder
+# ---------------------------------------------------------------------------
+
+def serialize_instance_dumps(inst) -> str:
+    """The instance document as ``json.dumps(doc, indent=2)`` prints it."""
+    doc = {
+        "q": inst.q,
+        "vertices": [
+            {"id": vid, "weight": f"{Fraction(w).numerator}/"
+                                  f"{Fraction(w).denominator}"}
+            for vid, w in zip(inst.vertex_ids, inst.weights)
+        ],
+        "predicates": [
+            {"name": p.name, "arity": p.arity,
+             "minimal": [list(m) for m in sorted(p.minimal)]}
+            for p in inst.predicates
+        ],
+        "edges": [
+            {"vertices": [inst.vertex_ids[v] for v in e.vertices],
+             "predicate": inst.predicates[e.predicate].name}
+            for e in inst.edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -221,12 +221,18 @@ def test_analyze_influences(tmp_path, capsys):
 # exit codes
 # ---------------------------------------------------------------------------
 
-def test_one_parser_serves_many_calls(capsys):
-    """In-process calls print what a fresh process prints for each."""
-    root = Path(__file__).resolve().parent.parent
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(FIXTURES.parent / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_one_parser_serves_many_calls(capsys):
+    """In-process calls print what a fresh process prints for each."""
+    env = _src_env()
     vc = str(FIXTURES / "vc_edge.json")
     calls = [["lp", vc, "--lambdas"], ["lp", vc],
              ["round", hvc3(), "--eps", "1/6", "--report"],
@@ -239,6 +245,18 @@ def test_one_parser_serves_many_calls(capsys):
                                timeout=120)
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
                                       fresh.stderr)
+
+
+def test_lp_leaves_scipy_unimported():
+    """Only the Gaussian quadrature needs scipy, so nothing else loads it."""
+    script = ("import sys\n"
+              "from smcsp import cli\n"
+              f"code = cli.main(['lp', {str(FIXTURES / 'vc_edge.json')!r}, "
+              "'--json'])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 def test_missing_file_is_exit_3(capsys):

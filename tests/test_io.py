@@ -6,8 +6,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from smcsp import io
+from smcsp.model import Edge, Instance, Predicate, make_instance
 from smcsp.randgen import (random_game, random_instance, ternary_chain,
                            twisted_cycle, vc_edge)
 
@@ -60,6 +64,81 @@ def test_fixture_files_parse():
         assert io.serialize_instance(inst) == text
 
 
+# quotes, backslashes, control characters and non-ASCII text
+_AWKWARD = st.text(st.sampled_from(['a', 'Z', '"', '\\', '/', '\n', '\t',
+                                    '\x00', '\x1f', '\x7f', 'é', 'λ',
+                                    '\u2028', '\U0001f600']),
+                   min_size=1, max_size=4)
+
+
+def _antichain(tuples: list) -> tuple:
+    """The minimal elements of a nonempty set of label tuples."""
+    return tuple(sorted(
+        t for t in set(tuples)
+        if not any(s != t and all(a <= b for a, b in zip(s, t))
+                   for s in tuples)))
+
+
+@st.composite
+def awkward_instances(draw):
+    q = draw(st.sampled_from([2, 3]))
+    ids = draw(st.lists(_AWKWARD, min_size=1, max_size=5, unique=True))
+    raw = draw(st.lists(st.integers(0, 4), min_size=len(ids),
+                        max_size=len(ids)).filter(any))
+    weights = [F(w, sum(raw)) for w in raw]
+    names = draw(st.lists(_AWKWARD, min_size=1, max_size=3, unique=True))
+    predicates = []
+    for name in names:
+        arity = draw(st.integers(1, 3))
+        label = st.tuples(*[st.integers(0, q - 1)] * arity)
+        minimal = _antichain(draw(st.lists(label, min_size=1, max_size=4)))
+        predicates.append(Predicate(name, arity, q, minimal))
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        p = draw(st.integers(0, len(predicates) - 1))
+        verts = draw(st.lists(st.integers(0, len(ids) - 1),
+                              min_size=predicates[p].arity,
+                              max_size=predicates[p].arity))
+        edges.append((verts, p))
+    return make_instance(q, weights, predicates, edges, ids)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(awkward_instances())
+def test_serializer_matches_json_dumps(inst):
+    text = io.serialize_instance(inst)
+    assert text == oracles.serialize_instance_dumps(inst)
+    back = io.parse_instance(text)
+    assert back == inst
+    assert io.serialize_instance(back) == text
+
+
+def test_serializer_matches_json_dumps_on_edge_shapes():
+    pair = Predicate('p"\\\n\u00e9', 2, 2, ((0, 1), (1, 0)))
+    inst = make_instance(2, [F(1, 3), F(2, 3)], [pair],
+                         [((1, 1), 0), ((0, 1), 0), ((1, 1), 0)],
+                         ["\x00", "\U0001f600"])
+    text = io.serialize_instance(inst)
+    assert text == oracles.serialize_instance_dumps(inst)
+    assert io.parse_instance(text) == inst
+    # shapes no valid instance has: empty lists print as []
+    for bare in [Instance(2, (), (), (), ()),
+                 Instance(3, ("u",), (F(1),), (), ()),
+                 Instance(2, ("u",), (F(1),), (pair,), (Edge((), 0),))]:
+        assert io.serialize_instance(bare) == \
+            oracles.serialize_instance_dumps(bare)
+
+
+def test_serializer_matches_json_dumps_on_every_fixture():
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text()
+        if "predicates" not in json.loads(text):
+            continue
+        inst = io.parse_instance(text)
+        assert io.serialize_instance(inst) == text
+        assert oracles.serialize_instance_dumps(inst) == text
+
+
 def test_meta_key_is_tolerated():
     doc = json.loads(io.serialize_instance(vc_edge()))
     doc["meta"] = {"note": "anything"}
@@ -85,6 +164,31 @@ def test_instance_rejection_catalog(mutate, fragment):
     mutate(doc)
     with pytest.raises(io.ParseError, match=fragment):
         io.parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edge,message", [
+    (["u", "v"], "edge #1: expected an object, got an array"),
+    ({"vertices": ["u", "v"]}, "edge #1: missing keys ['predicate']"),
+    ({"predicate": "cover2"}, "edge #1: missing keys ['vertices']"),
+    ({"vertices": ["u", "v"], "predicate": "cover2", "w": 1},
+     "edge #1: unknown keys ['w']"),
+    ({"vertices": "uv", "predicate": "cover2"},
+     "edge #1: vertices: expected an array, got a string"),
+    ({"vertices": ["u", ["v"]], "predicate": "cover2"},
+     "edge #1: vertex id: expected a string, got an array"),
+    ({"vertices": ["u", "w"], "predicate": "cover2"},
+     "edge #1: unknown vertex id 'w'"),
+    ({"vertices": ["u", "v"], "predicate": "cover3"},
+     "edge #1: unknown predicate name 'cover3'"),
+    ({"vertices": ["u", "v"], "predicate": ["cover2"]},
+     "edge #1: predicate: expected a string, got an array"),
+])
+def test_edge_messages_pinned(edge, message):
+    doc = json.loads(io.serialize_instance(vc_edge()))
+    doc["edges"].append(edge)
+    with pytest.raises(io.ParseError) as info:
+        io.parse_instance(json.dumps(doc))
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

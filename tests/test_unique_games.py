@@ -1,15 +1,18 @@
 """Bijection games: satisfaction, composition, decoding."""
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from smcsp.caps import CapExceeded
 from smcsp.dictators import dictator_weight, generate_dict
-from smcsp.model import brute_force_opt
-from smcsp.randgen import random_game, twisted_cycle, vc_edge
+from smcsp.model import brute_force_opt, solution_from_assignments
+from smcsp.randgen import random_game, ternary_chain, twisted_cycle, vc_edge
 from smcsp.unique_games import (UgInstance, compose, completeness_solution,
                                 decode_labeling, edge_satisfied,
                                 f_vertex_id, incident_right, p_left,
@@ -98,6 +101,55 @@ def test_composed_ids_weights_and_predicates():
     assert sum(Finst.weights, F(0)) == 1
     assert Finst.predicates == D.instance.predicates
     assert f_vertex_id("L0", 0, (1, 0)) in Finst.vertex_ids
+
+
+@functools.lru_cache(maxsize=None)
+def _dicts(r):
+    """A boolean and a ternary hypercube instance with ``r`` coordinates."""
+    inst = ternary_chain()
+    x = solution_from_assignments(inst, [(0, 2, 1), (2, 2, 2)],
+                                  [F(1, 2), F(1, 2)])
+    return _vc_dict(r), generate_dict(inst, x, r, F(1, 10), F(1, 2))
+
+
+@st.composite
+def games_with_dicts(draw):
+    r = draw(st.integers(1, 3))
+    n_left, n_right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    raw = draw(st.lists(st.tuples(st.integers(0, n_left - 1),
+                                  st.integers(0, n_right - 1),
+                                  st.integers(0, 3),
+                                  st.permutations(range(r))),
+                        min_size=1, max_size=5)
+               .filter(lambda es: any(e[2] for e in es)))
+    total = sum(e[2] for e in raw)
+    game = UgInstance(r, tuple(f"L{u}" for u in range(n_left)),
+                      tuple(f"R{v}" for v in range(n_right)),
+                      tuple((u, v, F(w, total), tuple(perm))
+                            for u, v, w, perm in raw))
+    return game, draw(st.sampled_from(_dicts(r)))
+
+
+_SHARED_TWISTS = UgInstance(2, ("L0", "L1"), ("R0", "R1"), (
+    (0, 0, F(1, 4), (1, 0)), (1, 0, F(1, 4), (0, 1)),
+    (0, 0, F(1, 8), (1, 0)), (0, 1, F(3, 8), (1, 0))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(games_with_dicts())
+@example((UgInstance(1, ("L",), ("R",), ((0, 0, F(1), (0,)),)), _dicts(1)[0]))
+@example((UgInstance(1, ("L",), ("R",), ((0, 0, F(1), (0,)),)), _dicts(1)[1]))
+# (u, perm) shared within and across right vertices; R0 has degree 3
+@example((_SHARED_TWISTS, _dicts(2)[0]))
+@example((_SHARED_TWISTS, _dicts(2)[1]))
+def test_compose_matches_reference(game_and_dict):
+    game, D = game_and_dict
+    composed = compose(game, D)
+    ids, weights, edges = oracles.compose_reference(game, D)
+    assert composed.vertex_ids == ids
+    assert composed.weights == weights
+    assert [(e.vertices, e.predicate) for e in composed.edges] == edges
+    assert (composed.q, composed.predicates) == (D.q, D.instance.predicates)
 
 
 def test_identity_game_composition_preserves_optimum():
