@@ -30,8 +30,7 @@ print(f"\nplanted labeling -> selection of weight {report['weight']} "
       f"(= dictator weight {dictator_weight(D)})")
 print(f"bound from lp + eps + delta(q-1): {report['bound']}")
 
-sel = dict(zip(F_inst.vertex_ids, selection))
-decoded, influence_table = decode_labeling(game, D, sel)
+decoded, influence_table = decode_labeling(game, D, selection)
 print(f"\ndecoded labeling: {decoded}")
 print(f"matches planted: {decoded == planted}")
 print(f"satisfied weight: {ug_satisfied_weight(game, decoded)}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import randgen
 from .dictators import (bucket_constant_opt, completeness_check,
-                        dictator_weight, extract_TJ, generate_dict)
+                        extract_TJ, generate_dict)
 from .distributions import (cheeger_check, expected_margin,
                             extract_edge_distribution, margin, min_atom,
                             smooth)

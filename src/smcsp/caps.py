@@ -56,17 +56,3 @@ def check_bits(name: str, count: int, what: str) -> None:
         raise CapExceeded(
             f"{what}: {count} exceeds 2^{limit} (SMCSP_CAP_{name})"
         )
-
-
-def check_space(name: str, count: int, what: str, max_bits: int | None,
-                shown: str) -> None:
-    """Budget check for a search space with an optional per-call override.
-
-    Without ``max_bits`` this is ``check_bits(name, count, what)``.  With
-    it, ``count`` must not exceed ``2**max_bits``, and ``shown`` names
-    the space in the error.
-    """
-    if max_bits is None:
-        check_bits(name, count, what)
-    elif count > (1 << max_bits):
-        raise CapExceeded(f"{shown} exceeds 2^{max_bits}")

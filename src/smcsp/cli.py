@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -31,7 +32,8 @@ from .lp import solve_lp
 from .model import (PropertyViolation, brute_force_opt, check_solution,
                     covering_predicate, make_instance)
 from .rounding import integrality_report, perturb, round_solution
-from .unique_games import compose, decode_labeling, p_left, ug_satisfied_weight
+from .unique_games import (compose, composed_vertex_ids, decode_labeling,
+                           p_left, ug_satisfied_weight)
 
 ZERO = Fraction(0)
 
@@ -213,12 +215,18 @@ def cmd_reduce(args) -> int:
 def cmd_decode(args) -> int:
     game = io.parse_ug(_read(args.ug))
     composed = _load_instance(args.f)
-    selection_labels = io.parse_assignment(_read(args.solution), composed)
-    selection = dict(zip(composed.vertex_ids, selection_labels))
+    selection = io.parse_assignment(_read(args.solution), composed)
     if args.dict:
         D = dict_view(_load_instance(args.dict))
     else:
         D = _view_from_composed(game, composed)
+    ids = composed_vertex_ids(game, D)
+    if composed.vertex_ids != ids:
+        i, found, want = next((i, a, b) for i, (a, b) in enumerate(
+            itertools.zip_longest(composed.vertex_ids, ids)) if a != b)
+        raise ValueError(f"{args.f} is not the game composed with these "
+                         f"hypercubes: vertex #{i} is {found!r}, expected "
+                         f"{want!r}")
     labels, table = decode_labeling(game, D, selection, tau=args.tau,
                                     d=args.d)
     satisfied = ug_satisfied_weight(game, labels)
@@ -240,24 +248,22 @@ def _view_from_composed(game, composed):
     """
     if composed.q != 2:
         raise ValueError("decoding requires a binary alphabet")
-    for u, uid in enumerate(game.left):
-        mass = p_left(game, u)
-        if mass == 0:
-            continue
-        prefix = uid + "/"
-        ids = []
-        weights = []
-        for vid, w in zip(composed.vertex_ids, composed.weights):
-            if vid.startswith(prefix):
-                ids.append(vid[len(prefix):])
-                weights.append(w / mass)
-        if not ids:
-            break
-        block = make_instance(composed.q, weights,
-                              [covering_predicate(2)], [], ids)
-        return dict_view(block)
-    raise ValueError("cannot recover cube structure: no left copy with "
-                     "positive mass (pass --dict)")
+    # a valid game's edge masses sum to 1, so some left vertex has mass
+    u = next(u for u in range(game.n_left) if p_left(game, u) > 0)
+    mass, uid = p_left(game, u), game.left[u]
+    prefix = uid + "/"
+    ids = []
+    weights = []
+    for vid, w in zip(composed.vertex_ids, composed.weights):
+        if vid.startswith(prefix):
+            ids.append(vid[len(prefix):])
+            weights.append(w / mass)
+    if not ids:
+        raise ValueError(f"cannot recover cube structure: no composed vertex "
+                         f"belongs to left vertex {uid!r} (pass --dict)")
+    block = make_instance(composed.q, weights, [covering_predicate(2)], [],
+                          ids)
+    return dict_view(block)
 
 
 def cmd_analyze_gamma(args) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import check_bits, check_space
+from .caps import check_bits
 from .distributions import extract_edge_distribution, smooth
 from .fourier import biased_fourier, mask_of
 from .lp import val
@@ -107,10 +107,6 @@ class DictInstance:
     @property
     def q(self) -> int:
         return self.instance.q
-
-    def vertex_index(self, b: int, y: Sequence[int]) -> int:
-        return b * self.q ** self.r + sum(
-            a * self.q ** i for i, a in enumerate(reversed(y)))
 
 
 def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
@@ -288,23 +284,22 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
             "violated_edge": violated}
 
 
-def bucket_constant_opt(D: DictInstance, *, max_bits: int | None = None):
+def bucket_constant_opt(D: DictInstance):
     """Cheapest feasible labeling that is constant on every hypercube.
 
     Solves ``D.instance`` collapsed to one vertex per hypercube, so it
     needs no source instance and works on ``dict_view`` results too;
     returns (value, per-bucket labels) in D's bucket order.
     """
-    check_space("ROUND", D.q ** D.m, "hypercube-constant labelings",
-                max_bits, f"hypercube-constant space {D.q}^{D.m}")
+    check_bits("ROUND", D.q ** D.m, "hypercube-constant labelings")
     cubes = collapse(D.instance, [b for b, _ in D.points],
                      [f"b{b}" for b in range(D.m)])
     return cheapest_labeling(cubes)
 
 
-def dict_opt(D: DictInstance, *, max_bits: int | None = None):
+def dict_opt(D: DictInstance):
     """Exhaustive optimum over all labelings (tiny instances only)."""
-    return brute_force_opt(D.instance, max_bits=max_bits)
+    return brute_force_opt(D.instance)
 
 
 def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,

@@ -33,7 +33,6 @@ from .model import (
     Predicate,
     PropertyViolation,
     ZERO,
-    ONE,
     point_distribution,
 )
 

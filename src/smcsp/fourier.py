@@ -78,19 +78,18 @@ class BiasedFourierExpansion:
             raise ValueError(f"coordinate {i} out of range for r={self.r}")
 
 
-def biased_fourier(table: Sequence, p, *,
-                   exact: bool | None = None) -> BiasedFourierExpansion:
+def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
     """Expand a value table of length 2^r against the p-biased basis.
 
-    ``exact`` defaults to True when p and every table entry are rational.
+    The expansion is exact (Fractions) when p and every table entry are
+    rational, and in floats otherwise.
     """
     size = len(table)
     if size == 0 or size & (size - 1):
         raise ValueError(f"table length {size} is not a power of two")
     r = size.bit_length() - 1
     check_count("FOURIER", r, "cube dimension")
-    if exact is None:
-        exact = _is_rational(p) and all(_is_rational(v) for v in table)
+    exact = _is_rational(p) and all(_is_rational(v) for v in table)
     if exact:
         if r > EXACT_MAX_R:
             raise ValueError(f"rational mode supports r <= {EXACT_MAX_R}")

@@ -27,11 +27,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .caps import check_count, check_space
+from .caps import check_bits, check_count
 
 Point = Union[Fraction, tuple]  # scalar for q == 2, length-q tuple for q > 2
 
@@ -357,15 +357,13 @@ def cheapest_labeling(inst: Instance):
     return Fraction(best, scale), best_labels
 
 
-def brute_force_opt(inst: Instance, *, max_bits: int | None = None):
+def brute_force_opt(inst: Instance):
     """Exhaustive optimum: returns ``(opt value, optimal assignment)``.
 
     Ties are broken by the lexicographically smallest assignment.  The
     search space ``q**n`` is bounded by the ENUM cap (log2 budget).
     """
-    n, q = inst.n, inst.q
-    check_space("ENUM", q ** n, "brute-force assignment space", max_bits,
-                f"brute-force space {q}^{n}")
+    check_bits("ENUM", inst.q ** inst.n, "brute-force assignment space")
     return cheapest_labeling(inst)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import check_space
+from .caps import check_bits
 from .lp import check_feasible_fractional, solve_lp, val
 from .model import (
     Instance,
@@ -144,8 +144,7 @@ class RoundResult:
     perturbed: PerturbedSolution
 
 
-def round_solution(inst: Instance, x: Sequence[Point], eps,
-                   *, max_bits: int | None = None) -> RoundResult:
+def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
     """Cheapest feasible assignment that is constant on snapped buckets.
 
     Solves the bucket-collapsed instance exactly (``q**m`` candidates,
@@ -155,8 +154,7 @@ def round_solution(inst: Instance, x: Sequence[Point], eps,
     """
     pert = perturb(inst, x, eps)
     m = len(pert.bucket_values)
-    check_space("ROUND", inst.q ** m, "bucket labeling space", max_bits,
-                f"bucket labeling space {inst.q}^{m}")
+    check_bits("ROUND", inst.q ** m, "bucket labeling space")
     value, z = cheapest_labeling(_collapse_buckets(inst, pert))
     labels = tuple(z[b] for b in pert.bucket_of)
     return RoundResult(value, labels, pert.bucket_values, z, pert)
@@ -185,8 +183,8 @@ def _bucket_id(q: int, value: Point) -> str:
     return "(" + ",".join(f"{a.numerator}/{a.denominator}" for a in value) + ")"
 
 
-def integrality_report(inst: Instance, eps, x: Sequence[Point] | None = None,
-                       *, max_bits: int | None = None) -> dict:
+def integrality_report(inst: Instance, eps,
+                       x: Sequence[Point] | None = None) -> dict:
     """Relaxation value, rounded value, and exact optimum side by side.
 
     ``x`` defaults to the solver's canonical basic optimum; pass an
@@ -196,7 +194,7 @@ def integrality_report(inst: Instance, eps, x: Sequence[Point] | None = None,
     sol = solve_lp(inst)
     if x is None:
         x = sol.x
-    rounded = round_solution(inst, x, eps, max_bits=max_bits)
+    rounded = round_solution(inst, x, eps)
     opt, witness = brute_force_opt(inst)
     return {
         "eps": check_grid_fraction(eps),

@@ -8,9 +8,12 @@ of the hypercube instance, and every k-ary constraint is re-wired
 through the label bijections of k (not necessarily distinct) game edges
 meeting at a common right vertex.
 
-``decode_labeling`` inverts the construction for q = 2: it reads a
-selection of composed vertices as one averaged cube function per right
-vertex, and labels each side by the most influential coordinate.
+``decode_labeling`` inverts the construction for q = 2: it pulls a
+labeling of the composed instance back through each edge's bijection,
+averages the copies at a right vertex into one cube function per
+hypercube, and labels each side by the most influential coordinate.
+Both read the one composed layout: ``composed_vertex_ids`` names the
+vertices and ``_twist_tables`` wires copy u through pi.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .caps import check_bits, check_space
-from .dictators import (DictInstance, dict_vertex_id, dictator_weight)
-from .fourier import biased_fourier, point_of
+from .caps import check_bits
+from .dictators import DictInstance, cube_complement_table, dictator_weight
+from .fourier import biased_fourier
 from .model import (Instance, PropertyViolation, assignment_cost,
                     is_feasible, make_instance)
 
@@ -99,12 +102,10 @@ def ug_satisfied_weight(ug: UgInstance, labels: Mapping[str, int]) -> Fraction:
                 if labels[ug.right[v]] == perm[labels[ug.left[u]]]), ZERO)
 
 
-def ug_brute_force(ug: UgInstance, *, max_bits: int | None = None):
+def ug_brute_force(ug: UgInstance):
     """Maximum satisfied weight and its lexicographically least labeling."""
     ids = list(ug.left) + list(ug.right)
-    space = ug.r ** len(ids)
-    check_space("UG", space, "game labeling space", max_bits,
-                f"game labeling space {space}")
+    check_bits("UG", ug.r ** len(ids), "game labeling space")
     best = None
     best_labels = None
     for combo in itertools.product(range(ug.r), repeat=len(ids)):
@@ -125,8 +126,30 @@ def incident_right(ug: UgInstance, v: int) -> list:
     return [e for e in ug.edges if e[1] == v]
 
 
-def f_vertex_id(left_id: str, b: int, y: Sequence[int]) -> str:
-    return f"{left_id}/{dict_vertex_id(b, y)}"
+def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
+    """Vertex ids of ``compose(ug, D)``: ``<left-id>/<cube-vertex-id>``,
+    one hypercube copy per left vertex, in left order."""
+    return tuple([f"{uid}/{dvid}" for uid in ug.left
+                  for dvid in D.instance.vertex_ids])
+
+
+def _twist_tables(ug: UgInstance, D: DictInstance) -> dict:
+    """Copy u wired through pi, for each distinct (u, pi) of the edges.
+
+    Maps (u, pi) to a list from the dict-vertex index of (b, y) to the
+    composed index of (u, b, y o pi), where (y o pi)_t = y_{pi(t)}.
+    """
+    if D.r != ug.r:
+        raise ValueError(f"label ranges differ: game has r={ug.r}, "
+                         f"hypercubes have r={D.r}")
+    problems = validate_ug(ug)
+    if problems:
+        raise ValueError("invalid game: " + "; ".join(problems))
+    cube = len(D.points)
+    index_of = {pt: i for i, pt in enumerate(D.points)}
+    return {(u, perm): [u * cube + index_of[b, tuple([y[t] for t in perm])]
+                        for b, y in D.points]
+            for u, perm in {(u, perm) for u, _, _, perm in ug.edges}}
 
 
 def compose(ug: UgInstance, D: DictInstance) -> Instance:
@@ -139,35 +162,19 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
     composed constraint joins (u_{e_j}, b_j, y_j o pi_{e_j}) where
     (y o pi)_t = y_{pi(t)}.
     """
-    if D.r != ug.r:
-        raise ValueError(f"label ranges differ: game has r={ug.r}, "
-                         f"hypercubes have r={D.r}")
-    problems = validate_ug(ug)
-    if problems:
-        raise ValueError("invalid game: " + "; ".join(problems))
+    tables = _twist_tables(ug, D)
     base = D.instance
     cube = len(base.vertex_ids)
     check_bits("UG", ug.n_left * cube, "composed vertex count")
-    at_right = [[] for _ in range(ug.n_right)]
+    incident = [[] for _ in range(ug.n_right)]
     for u, v, _, perm in ug.edges:
-        at_right[v].append((u, perm))
-    tuple_budget = 0
-    for edge in base.edges:
-        k = len(edge.vertices)
-        tuple_budget += sum(len(keys) ** k for keys in at_right)
-    check_bits("UG", tuple_budget, "composed constraint tuples")
+        incident[v].append(tables[u, perm])
+    check_bits("UG", sum(len(combos) ** len(edge.vertices)
+                         for edge in base.edges for combos in incident),
+               "composed constraint tuples")
 
-    ids = [f"{uid}/{dvid}" for uid in ug.left for dvid in base.vertex_ids]
     masses = [p_left(ug, u) for u in range(ug.n_left)]
     weights = [masses[u] * w for u in range(ug.n_left) for w in base.weights]
-
-    # one table per distinct (u, perm): dict-vertex index -> composed index
-    index_of = {pt: i for i, pt in enumerate(D.points)}
-    tables = {(u, perm): [u * cube + index_of[b, tuple([y[t] for t in perm])]
-                          for b, y in D.points]
-              for u, perm in {key for keys in at_right for key in keys}}
-    incident = [[tables[key] for key in keys] for keys in at_right]
-
     edge_set = set()
     for edge in base.edges:
         dvs, pred = edge.vertices, edge.predicate
@@ -176,7 +183,8 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
                 edge_set.add((tuple([t[dv] for t, dv in zip(combo, dvs)]),
                               pred))
     edges = sorted(edge_set)
-    return make_instance(base.q, weights, base.predicates, edges, ids)
+    return make_instance(base.q, weights, base.predicates, edges,
+                         composed_vertex_ids(ug, D))
 
 
 def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
@@ -246,25 +254,32 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
     return assignment, report
 
 
-def decode_labeling(ug: UgInstance, D: DictInstance,
-                    selection: Mapping[str, int], *, tau: float = 0.0,
-                    d: int | None = None):
-    """Game labeling read off a selection of composed vertices (q = 2).
+def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
+                    *, tau: float = 0.0, d: int | None = None):
+    """Game labeling read off a labeling of ``compose(ug, D)`` (q = 2).
 
-    Per right vertex, the incident copies are averaged (through each
-    edge's bijection, weighted by edge mass) into one function per
-    hypercube; the right label is the coordinate of largest degree-d
-    influence over all hypercubes, 0 if no influence clears tau.  Each
-    left vertex pulls the label of its heaviest edge back through that
-    edge's bijection.  Returns (labels, influence table).
+    ``labels`` is in composed vertex order.  Each copy is pulled back
+    through its edge's bijection; per right vertex, the complements of
+    the incident copies are averaged (weighted by edge mass) into one
+    function per hypercube.  The right label is the coordinate of
+    largest degree-d influence over all hypercubes, 0 if no influence
+    clears tau.  Each left vertex pulls the label of its heaviest edge
+    back through that edge's bijection.  Returns (labels by vertex id,
+    influence table).
     """
     if D.q != 2:
         raise ValueError("decoding is defined for q = 2 only")
+    tables = _twist_tables(ug, D)
+    n = ug.n_left * len(D.points)
+    if len(labels) != n:
+        raise ValueError(f"labeling has {len(labels)} entries, the composed "
+                         f"instance has {n} vertices")
+    pulled = {key: [labels[i] for i in table] for key, table in tables.items()}
     r = D.r
     if d is None:
         d = r
     size = 2 ** r
-    labels = {}
+    decoded = {}
     influence_table = {}
     for v, vid in enumerate(ug.right):
         incident = incident_right(ug, v)
@@ -275,13 +290,10 @@ def decode_labeling(ug: UgInstance, D: DictInstance,
             for u, _, wt, perm in incident:
                 if wt == 0:
                     continue
-                coeff = wt / mass
-                uid = ug.left[u]
-                for mask in range(size):
-                    y = point_of(mask, r)
-                    twisted = tuple(y[perm[t]] for t in range(r))
-                    sel = selection[f_vertex_id(uid, b, twisted)]
-                    table[mask] += float(coeff) * (1 - sel)
+                coeff = float(wt / mass)
+                cells = cube_complement_table(D, pulled[u, perm], b)
+                for mask, c in enumerate(cells):
+                    table[mask] += coeff * c
             per_cube.append(table)
         per_i = [0.0] * r
         rows = []
@@ -290,20 +302,20 @@ def decode_labeling(ug: UgInstance, D: DictInstance,
             if not 0.0 < p < 1.0:
                 rows.append([0.0] * r)
                 continue
-            expansion = biased_fourier(table, p, exact=False)
+            expansion = biased_fourier(table, p)
             row = [expansion.degree_d_influence(i, d) for i in range(r)]
             rows.append(row)
             for i, inf in enumerate(row):
                 per_i[i] = max(per_i[i], inf)
         influence_table[vid] = rows
         candidates = [i for i in range(r) if per_i[i] >= tau]
-        labels[vid] = (min(candidates, key=lambda i: (-per_i[i], i))
-                       if candidates else 0)
+        decoded[vid] = (min(candidates, key=lambda i: (-per_i[i], i))
+                        if candidates else 0)
     for u, uid in enumerate(ug.left):
         incident = [e for e in ug.edges if e[0] == u]
         if not incident:
-            labels[uid] = 0
+            decoded[uid] = 0
             continue
         _, v, _, perm = max(incident, key=lambda e: e[2])
-        labels[uid] = perm.index(labels[ug.right[v]])
-    return labels, influence_table
+        decoded[uid] = perm.index(decoded[ug.right[v]])
+    return decoded, influence_table

@@ -431,6 +431,69 @@ def compose_reference(ug, D) -> tuple:
     return ids, weights, sorted(edge_set)
 
 
+def decode_reference(ug, D, selection: dict, *, tau: float = 0.0,
+                     d: int | None = None) -> tuple:
+    """Game labeling and influence table read off a boolean selection
+    keyed by composed vertex id, ``<left-id>/b<b>:y<bits>``.
+
+    Every cell rebuilds its twisted point y o pi and that point's id.
+    The float p-biased expansion is the butterfly written out again with
+    the same operations in the same order, so the floats compare exactly.
+    ``ug`` and ``D`` are read by attribute only.
+    """
+    r = D.r
+    if d is None:
+        d = r
+    size = 2 ** r
+    labels = {}
+    influence_table = {}
+    for v, vid in enumerate(ug.right):
+        incident = [e for e in ug.edges if e[1] == v]
+        mass = sum((wt for _, _, wt, _ in incident), Fraction(0))
+        per_i = [0.0] * r
+        rows = []
+        for b in range(D.m):
+            table = [0.0] * size
+            for u, _, wt, perm in incident:
+                if wt == 0:
+                    continue
+                for mask in range(size):
+                    y = [(mask >> i) & 1 for i in range(r)]
+                    bits = "".join(str(y[perm[t]]) for t in range(r))
+                    sel = selection[f"{ug.left[u]}/b{b}:y{bits}"]
+                    table[mask] += float(wt / mass) * (1 - sel)
+            p = float(D.tilde_values[b])
+            if not 0.0 < p < 1.0:
+                rows.append([0.0] * r)
+                continue
+            work = list(table)
+            for i in range(r):
+                bit = 1 << i
+                for mask in range(size):
+                    if not mask & bit:
+                        lo, hi = work[mask], work[mask | bit]
+                        work[mask] = (1 - p) * lo + p * hi
+                        work[mask | bit] = p * (1 - p) * (hi - lo)
+            row = [sum(work[m] * work[m] / (p * (1 - p)) ** m.bit_count()
+                       for m in range(size)
+                       if m >> i & 1 and m.bit_count() <= d)
+                   for i in range(r)]
+            rows.append(row)
+            per_i = [max(a, inf) for a, inf in zip(per_i, row)]
+        influence_table[vid] = rows
+        candidates = [i for i in range(r) if per_i[i] >= tau]
+        labels[vid] = (min(candidates, key=lambda i: (-per_i[i], i))
+                       if candidates else 0)
+    for u, uid in enumerate(ug.left):
+        incident = [e for e in ug.edges if e[0] == u]
+        if not incident:
+            labels[uid] = 0
+            continue
+        _, v, _, perm = max(incident, key=lambda e: e[2])
+        labels[uid] = perm.index(labels[ug.right[v]])
+    return labels, influence_table
+
+
 # ---------------------------------------------------------------------------
 # instance documents, through the json module's own indenting encoder
 # ---------------------------------------------------------------------------

@@ -96,7 +96,9 @@ def _write_game(path):
     return ug
 
 
-def test_dict_reduce_decode_round_trip(tmp_path, capsys):
+def _reduce_pipeline(tmp_path, capsys):
+    """dict (r=2) -> reduce with the game of ``_write_game``, and the
+    selection of its planted labeling; returns the four file paths."""
     vc = tmp_path / "vc.json"
     vc.write_text(io.serialize_instance(vc_edge()))
     dict_file = tmp_path / "dict.json"
@@ -119,7 +121,12 @@ def test_dict_reduce_decode_round_trip(tmp_path, capsys):
                                          Finst)
     sel_file = tmp_path / "sel.json"
     sel_file.write_text(io.serialize_assignment(Finst, selection))
+    return dict_file, game_file, composed_file, sel_file
 
+
+def test_dict_reduce_decode_round_trip(tmp_path, capsys):
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
     code, out, _ = run(capsys, "decode", "--f", composed_file,
                        "--solution", sel_file, "--ug", game_file,
                        "--dict", dict_file)
@@ -132,6 +139,54 @@ def test_dict_reduce_decode_round_trip(tmp_path, capsys):
                          "--solution", sel_file, "--ug", game_file)
     assert code2 == 0
     assert out2 == out
+
+
+def _decode_error(tmp_path, capsys, game=None, r_dict=None,
+                  with_dict=True):
+    """Exit 3 and the message of a decode of the pipeline's composed file
+    with another game and/or a ``--dict`` built with another r."""
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
+    if game is not None:
+        game_file = tmp_path / "other.json"
+        game_file.write_text(io.serialize_ug(game))
+    if r_dict is not None:
+        dict_file = tmp_path / "other_dict.json"
+        assert run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps",
+                   "1/2", "--delta", "1/10", "--r", r_dict, "-o",
+                   dict_file)[0] == 0
+    argv = ["decode", "--f", composed_file, "--solution", sel_file,
+            "--ug", game_file] + (["--dict", dict_file] if with_dict else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("with_dict", [True, False])
+def test_decode_rejects_a_game_with_other_left_ids(tmp_path, capsys,
+                                                   with_dict):
+    game = UgInstance(2, ("zz", "L1"), ("R0",),
+                      ((0, 0, F(1, 2), (0, 1)), (1, 0, F(1, 2), (1, 0))))
+    err = _decode_error(tmp_path, capsys, game, with_dict=with_dict)
+    if with_dict:
+        assert "vertex #0 is 'L0/b0:y00', expected 'zz/b0:y00'" in err
+    else:
+        assert "no composed vertex belongs to left vertex 'zz'" in err
+
+
+def test_decode_rejects_a_dict_with_other_r(tmp_path, capsys):
+    err = _decode_error(tmp_path, capsys, r_dict=3)
+    assert "vertex #0 is 'L0/b0:y00', expected 'L0/b0:y000'" in err
+
+
+@pytest.mark.parametrize("with_dict", [True, False])
+def test_decode_rejects_a_game_with_other_r(tmp_path, capsys, with_dict):
+    game = UgInstance(3, ("L0", "L1"), ("R0",),
+                      ((0, 0, F(1, 2), (2, 0, 1)),
+                       (1, 0, F(1, 2), (1, 2, 0))))
+    err = _decode_error(tmp_path, capsys, game, with_dict=with_dict)
+    assert "label ranges differ: game has r=3, hypercubes have r=2" in err
 
 
 def test_dict_output_is_deterministic(tmp_path, capsys):

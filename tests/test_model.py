@@ -213,10 +213,11 @@ def test_brute_force_boolean_fast_path_agrees():
     assert is_feasible(inst, witness)
 
 
-def test_brute_force_respects_cap():
+def test_brute_force_respects_cap(monkeypatch):
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "1")
     inst = hvc(3)
     with pytest.raises(CapExceeded):
-        brute_force_opt(inst, max_bits=1)
+        brute_force_opt(inst)
 
 
 def test_named_instances_have_known_optima():

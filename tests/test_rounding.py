@@ -213,10 +213,11 @@ def test_round_result_is_lexicographically_least():
     assert result.value == 1
 
 
-def test_round_cap():
+def test_round_cap(monkeypatch):
+    monkeypatch.setenv("SMCSP_CAP_ROUND", "1")
     inst = hvc(4)
     with pytest.raises(CapExceeded):
-        round_solution(inst, solve_lp(inst).x, F(1, 4), max_bits=1)
+        round_solution(inst, solve_lp(inst).x, F(1, 4))
 
 
 def test_integrality_report_fields_are_consistent():

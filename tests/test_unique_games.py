@@ -9,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from smcsp import io
 from smcsp.caps import CapExceeded
-from smcsp.dictators import dictator_weight, generate_dict
+from smcsp.dictators import dict_view, dictator_weight, generate_dict
 from smcsp.model import brute_force_opt, solution_from_assignments
-from smcsp.randgen import random_game, ternary_chain, twisted_cycle, vc_edge
+from smcsp.randgen import (random_game, ternary_chain, triangle_cover,
+                           twisted_cycle, vc_edge)
 from smcsp.unique_games import (UgInstance, compose, completeness_solution,
-                                decode_labeling, edge_satisfied,
-                                f_vertex_id, incident_right, p_left,
+                                composed_vertex_ids, decode_labeling,
+                                edge_satisfied, incident_right, p_left,
                                 ug_brute_force, ug_satisfied_weight,
                                 validate_ug)
 
@@ -77,10 +79,11 @@ def test_brute_force_on_random_games():
         assert ug_satisfied_weight(ug, planted) == 1
 
 
-def test_twisted_cycle_optimum_is_three_quarters():
+def test_twisted_cycle_optimum_is_three_quarters(monkeypatch):
     assert ug_brute_force(twisted_cycle())[0] == F(3, 4)
+    monkeypatch.setenv("SMCSP_CAP_UG", "1")
     with pytest.raises(CapExceeded):
-        ug_brute_force(twisted_cycle(), max_bits=1)
+        ug_brute_force(twisted_cycle())
 
 
 def test_vertex_masses():
@@ -100,7 +103,9 @@ def test_composed_ids_weights_and_predicates():
     assert len(Finst.vertex_ids) == ug.n_left * len(D.instance.vertex_ids)
     assert sum(Finst.weights, F(0)) == 1
     assert Finst.predicates == D.instance.predicates
-    assert f_vertex_id("L0", 0, (1, 0)) in Finst.vertex_ids
+    assert Finst.vertex_ids == composed_vertex_ids(ug, D)
+    assert Finst.vertex_ids[:2] == ("L0/b0:y00", "L0/b0:y01")
+    assert "L1/b0:y10" in Finst.vertex_ids
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,22 +117,26 @@ def _dicts(r):
     return _vc_dict(r), generate_dict(inst, x, r, F(1, 10), F(1, 2))
 
 
-@st.composite
-def games_with_dicts(draw):
-    r = draw(st.integers(1, 3))
+def _draw_game(draw, r, max_edges=5):
+    """A game on up to 3 + 3 vertices; some edges may weigh 0."""
     n_left, n_right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     raw = draw(st.lists(st.tuples(st.integers(0, n_left - 1),
                                   st.integers(0, n_right - 1),
                                   st.integers(0, 3),
                                   st.permutations(range(r))),
-                        min_size=1, max_size=5)
+                        min_size=1, max_size=max_edges)
                .filter(lambda es: any(e[2] for e in es)))
     total = sum(e[2] for e in raw)
-    game = UgInstance(r, tuple(f"L{u}" for u in range(n_left)),
+    return UgInstance(r, tuple(f"L{u}" for u in range(n_left)),
                       tuple(f"R{v}" for v in range(n_right)),
                       tuple((u, v, F(w, total), tuple(perm))
                             for u, v, w, perm in raw))
-    return game, draw(st.sampled_from(_dicts(r)))
+
+
+@st.composite
+def games_with_dicts(draw):
+    r = draw(st.integers(1, 3))
+    return _draw_game(draw, r), draw(st.sampled_from(_dicts(r)))
 
 
 _SHARED_TWISTS = UgInstance(2, ("L0", "L1"), ("R0", "R1"), (
@@ -206,8 +215,7 @@ def test_decode_recovers_planted_labeling():
         Finst = compose(ug, D)
         selection, _ = completeness_solution(ug, planted, list(ug.left), D,
                                              Finst)
-        sel = dict(zip(Finst.vertex_ids, selection))
-        labels, table = decode_labeling(ug, D, sel)
+        labels, table = decode_labeling(ug, D, selection)
         assert labels == planted
         assert ug_satisfied_weight(ug, labels) == 1
         assert set(table) == set(ug.right)
@@ -218,18 +226,87 @@ def test_decode_tau_cutoff_falls_back_to_zero():
     D = _vc_dict(r=2)
     Finst = compose(ug, D)
     # all-ones selection has no influential coordinate anywhere
-    sel = {vid: 1 for vid in Finst.vertex_ids}
-    labels, _ = decode_labeling(ug, D, sel, tau=0.2)
+    labels, _ = decode_labeling(ug, D, (1,) * len(Finst.vertex_ids), tau=0.2)
     assert all(labels[vid] == 0 for vid in ug.right)
 
 
 def test_decode_requires_binary_alphabet():
-    from smcsp.randgen import ternary_chain
-    from smcsp.model import solution_from_assignments
     inst = ternary_chain()
     x = solution_from_assignments(inst, [(0, 2, 1), (2, 2, 2)],
                                   [F(1, 2), F(1, 2)])
     D = generate_dict(inst, x, 2, F(1, 5), F(1, 2))
     ug = _twisted_pair()
     with pytest.raises(ValueError, match="2"):
-        decode_labeling(ug, D, {})
+        decode_labeling(ug, D, ())
+
+
+def test_decode_checks_r_then_length():
+    ug = _twisted_pair()
+    with pytest.raises(ValueError, match="label ranges differ") as composed:
+        compose(ug, _vc_dict(r=3))
+    with pytest.raises(ValueError, match="label ranges differ") as decoded:
+        decode_labeling(ug, _vc_dict(r=3), ())
+    assert str(decoded.value) == str(composed.value)
+    with pytest.raises(ValueError, match="7 entries.* 8 vertices"):
+        decode_labeling(ug, _vc_dict(r=2), (1,) * 7)
+
+
+@functools.lru_cache(maxsize=None)
+def _boolean_views(r):
+    """A generated hypercube instance (one cube) and one read back from
+    its file by ``dict_view`` (three cubes, the last at tilt 1)."""
+    D = generate_dict(triangle_cover(), [F(1, 4), F(3, 4), F(1)], r,
+                      F(1, 10), F(1, 4))
+    text = io.serialize_instance(D.instance)
+    return _vc_dict(r), dict_view(io.parse_instance(text))
+
+
+def _planted(D, coords):
+    """Copy u labeled by the dictator of coords[u], or all 1 when < 0."""
+    return tuple(1 if c < 0 else y[c] for c in coords for _, y in D.points)
+
+
+@st.composite
+def decode_cases(draw):
+    r = draw(st.integers(1, 4))
+    game = _draw_game(draw, r, max_edges=6)
+    D = draw(st.sampled_from(_boolean_views(r)))
+    if draw(st.booleans()):
+        labels = _planted(D, draw(st.lists(st.integers(-1, r - 1),
+                                           min_size=game.n_left,
+                                           max_size=game.n_left)))
+    else:
+        n = game.n_left * len(D.points)
+        labels = tuple(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+    return (game, D, labels, draw(st.sampled_from((0.0, 0.05, 0.3))),
+            draw(st.sampled_from((None, 1, 2))))
+
+
+# R0 has degree 3, one of its edges weighs 0, and L2 has no positive edge
+_DECODE_GAME = UgInstance(4, ("L0", "L1", "L2"), ("R0", "R1"), (
+    (0, 0, F(1, 4), (1, 0, 3, 2)), (1, 0, F(1, 4), (0, 1, 2, 3)),
+    (2, 0, F(0), (3, 2, 1, 0)), (0, 1, F(1, 2), (2, 3, 0, 1))))
+
+
+def _decode_example(view, planted):
+    D = _boolean_views(4)[view]
+    n = 3 * len(D.points)
+    labels = (_planted(D, (1, 1, 3)) if planted
+              else tuple((i * 7 + i // 5) % 3 % 2 for i in range(n)))
+    return (_DECODE_GAME, D, labels, 0.0, None)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(decode_cases())
+@example(_decode_example(0, True))
+@example(_decode_example(1, True))
+@example(_decode_example(0, False))
+@example(_decode_example(1, False))
+def test_decode_matches_id_keyed_reference(case):
+    game, D, labels, tau, d = case
+    F_inst = compose(game, D)
+    want = oracles.decode_reference(game, D, dict(zip(F_inst.vertex_ids,
+                                                      labels)),
+                                    tau=tau, d=d)
+    assert decode_labeling(game, D, labels, tau=tau, d=d) == want
