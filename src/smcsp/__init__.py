@@ -26,8 +26,7 @@ from .distributions import (EdgeDistribution, extract_edge_distribution,
                             cheeger_check)
 from .dictators import (DictInstance, generate_dict, dictator_assignment,
                         dictator_weight, completeness_check, extract_TJ,
-                        bucket_constant_opt, dict_opt, pseudo_random_check,
-                        dict_view)
+                        bucket_constant_opt, pseudo_random_check, dict_view)
 from .unique_games import (UgInstance, validate_ug, ug_satisfied_weight,
                            ug_brute_force, compose, completeness_solution,
                            decode_labeling)
@@ -60,7 +59,7 @@ __all__ = [
     "min_atom", "maximal_correlation", "cheeger_check",
     "DictInstance", "generate_dict", "dictator_assignment",
     "dictator_weight", "completeness_check", "extract_TJ",
-    "bucket_constant_opt", "dict_opt", "pseudo_random_check", "dict_view",
+    "bucket_constant_opt", "pseudo_random_check", "dict_view",
     "UgInstance", "validate_ug", "ug_satisfied_weight", "ug_brute_force",
     "compose", "completeness_solution", "decode_labeling",
     "BiasedFourierExpansion", "biased_fourier", "influence", "influences",

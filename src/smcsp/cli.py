@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import acceptance, io
 from .caps import CapExceeded
 from .dictators import (bucket_constant_opt, completeness_check, dict_view,
-                        generate_dict, pseudo_random_check)
+                        dictator_weight, generate_dict, pseudo_random_check)
 from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
@@ -78,9 +78,13 @@ def _load_instance(path: str):
 
 def _solution_for(args, inst):
     """Explicit solution file if given, else the solver's basic optimum."""
-    if getattr(args, "solution", None):
+    if args.solution:
         return io.parse_solution(_read(args.solution), inst)
     return solve_lp(inst).x
+
+
+def _tau(args) -> Fraction:
+    return io.parse_rational(args.tau, "--tau") if args.tau else ZERO
 
 
 def _format_point(q, pt) -> str:
@@ -116,16 +120,18 @@ def cmd_lp(args) -> int:
 def cmd_round(args) -> int:
     inst = _load_instance(args.instance)
     eps = io.parse_rational(args.eps, "--eps")
-    x = _solution_for(args, inst)
-    result = round_solution(inst, x, eps)
-    doc = {"value": result.value,
-           "labels": {vid: int(a) for vid, a in
-                      zip(inst.vertex_ids, result.labels)}}
-    lines = [_pretty(result.value)]
-    lines += [f"{vid} = {a}" for vid, a in zip(inst.vertex_ids,
-                                               result.labels)]
     if args.report:
-        rep = integrality_report(inst, eps, x)
+        rep = integrality_report(
+            inst, eps, _solution_for(args, inst) if args.solution else None)
+        value, labels = rep["round"], rep["round_labels"]
+    else:
+        result = round_solution(inst, _solution_for(args, inst), eps)
+        value, labels = result.value, result.labels
+    doc = {"value": value,
+           "labels": {vid: int(a) for vid, a in zip(inst.vertex_ids, labels)}}
+    lines = [_pretty(value)]
+    lines += [f"{vid} = {a}" for vid, a in zip(inst.vertex_ids, labels)]
+    if args.report:
         doc["report"] = rep
         lines.append(f"lp = {_pretty(rep['lp'])}")
         lines.append(f"round = {_pretty(rep['round'])}")
@@ -153,10 +159,9 @@ def cmd_oracle(args) -> int:
 def _generated_dict(args, inst):
     eps = io.parse_rational(args.eps, "--eps")
     delta = io.parse_rational(args.delta, "--delta")
-    if getattr(args, "solution", None):
-        x = io.parse_solution(_read(args.solution), inst)
-    else:
-        x = perturb(inst, solve_lp(inst).x, eps).x_eps
+    x = _solution_for(args, inst)
+    if not args.solution:
+        x = perturb(inst, x, eps).x_eps
     return generate_dict(inst, x, args.r, delta, eps), x
 
 
@@ -167,8 +172,7 @@ def cmd_dict(args) -> int:
     doc = {"vertices": len(D.instance.vertex_ids),
            "edges": len(D.instance.edges), "cubes": D.m, "r": D.r,
            "source_value": D.source_value,
-           "dictator_weight": (1 - D.delta) * D.source_value
-           + D.delta * (D.q - 1)}
+           "dictator_weight": dictator_weight(D)}
     human = (f"wrote {args.output}: {doc['vertices']} vertices, "
              f"{doc['edges']} constraints, {D.m} cubes, r={D.r}, "
              f"dictator weight "
@@ -180,10 +184,9 @@ def cmd_dict(args) -> int:
 def cmd_dict_check(args) -> int:
     inst = _load_instance(args.instance)
     D, x = _generated_dict(args, inst)
-    eps = io.parse_rational(args.eps, "--eps")
     report = completeness_check(D, inst, x)
     bco, bucket_labels = bucket_constant_opt(D)
-    rounded = round_solution(inst, x, eps).value
+    rounded = round_solution(inst, x, D.eps).value
     if bco != rounded:
         raise PropertyViolation(f"cube-constant optimum {bco} differs from "
                                 f"rounding value {rounded}")
@@ -227,7 +230,7 @@ def cmd_decode(args) -> int:
         raise ValueError(f"{args.f} is not the game composed with these "
                          f"hypercubes: vertex #{i} is {found!r}, expected "
                          f"{want!r}")
-    labels, table = decode_labeling(game, D, selection, tau=args.tau,
+    labels, table = decode_labeling(game, D, selection, tau=_tau(args),
                                     d=args.d)
     satisfied = ug_satisfied_weight(game, labels)
     doc = {"labels": labels, "satisfied_weight": satisfied,
@@ -314,7 +317,7 @@ def cmd_analyze_influences(args) -> int:
     if args.p:
         p = io.parse_rational(args.p, "--p")
         D = dataclasses.replace(D, tilde_values=(p,) * D.m)
-    tau = io.parse_rational(args.tau, "--tau") if args.tau else ZERO
+    tau = _tau(args)
     d = args.d if args.d is not None else D.r
     report = pseudo_random_check(D, labels, tau, d)
     lines = []
@@ -352,11 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "for monotone constraint minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, subparsers=sub, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true",
                        help="structured output")
         p.set_defaults(func=fn)
+        return p
+
+    def add_dict(name, fn, **kwargs):
+        p = add(name, fn, **kwargs)
+        p.add_argument("instance")
+        p.add_argument("--eps", required=True)
+        p.add_argument("--delta", required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--solution", help="on-grid solution file "
+                       "(default: snapped solver optimum)")
         return p
 
     p = add("lp", cmd_lp, help="solve the hull relaxation exactly")
@@ -374,22 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", cmd_oracle, help="exact optimum by enumeration")
     p.add_argument("instance")
 
-    p = add("dict", cmd_dict, help="generate the hypercube instance")
-    p.add_argument("instance")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--solution", help="on-grid solution file "
-                   "(default: snapped solver optimum)")
+    p = add_dict("dict", cmd_dict, help="generate the hypercube instance")
     p.add_argument("-o", "--output", required=True)
 
-    p = add("dict-check", cmd_dict_check,
-            help="verify dictator costs and the cube-constant identity")
-    p.add_argument("instance")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--solution")
+    add_dict("dict-check", cmd_dict_check,
+             help="verify dictator costs and the cube-constant identity")
 
     p = add("reduce", cmd_reduce,
             help="compose a game with a hypercube instance")
@@ -405,26 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ug", required=True, help="game file")
     p.add_argument("--dict", help="hypercube instance file (else "
                    "recovered from the composed weights)")
-    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--tau", help="influence cutoff, num/den (default 0)")
     p.add_argument("--d", type=int, default=None)
 
     analyze = sub.add_parser("analyze", help="numeric reports")
     asub = analyze.add_subparsers(dest="analysis", required=True)
 
-    def add_a(name, fn, **kwargs):
-        p = asub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=fn)
-        return p
-
-    p = add_a("gamma", cmd_analyze_gamma,
-              help="bivariate Gaussian quadrant probability")
+    p = add("gamma", cmd_analyze_gamma, asub,
+            help="bivariate Gaussian quadrant probability")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
 
-    p = add_a("correlation", cmd_analyze_correlation,
-              help="maximal correlation across an edge split")
+    p = add("correlation", cmd_analyze_correlation, asub,
+            help="maximal correlation across an edge split")
     p.add_argument("instance")
     p.add_argument("--edge", type=int, required=True)
     p.add_argument("--split", required=True,
@@ -432,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="smooth first with this rate")
     p.add_argument("--solution")
 
-    p = add_a("influences", cmd_analyze_influences,
-              help="degree-bounded influences of a cube selection")
+    p = add("influences", cmd_analyze_influences, asub,
+            help="degree-bounded influences of a cube selection")
     p.add_argument("dict_file")
     p.add_argument("--assignment", required=True)
     p.add_argument("--p", help="override the recovered bias")

@@ -29,12 +29,12 @@ from typing import Sequence
 
 from .caps import check_bits
 from .distributions import extract_edge_distribution, smooth
-from .fourier import biased_fourier, mask_of
+from .fourier import influences, mask_of
 from .lp import val
 from .model import (Instance, Point, PropertyViolation, point_distribution,
                     point_value, make_instance, assignment_cost, is_feasible,
-                    brute_force_opt, cheapest_labeling, collapse,
-                    check_solution, point_in_domain)
+                    cheapest_labeling, collapse, check_solution,
+                    point_in_domain, tilted_value, violated_edge)
 from .rounding import check_grid_fraction, perturb_point
 
 ZERO = Fraction(0)
@@ -55,15 +55,6 @@ def bucket_map(x: Sequence[Point]):
             values.append(pt)
         bucket_of.append(index[pt])
     return len(values), tuple(values), tuple(bucket_of)
-
-
-def tilted_value(q: int, pt: Point, delta: Fraction) -> Point:
-    """(1 - delta) * p + delta * (top label point)."""
-    if q == 2:
-        return (1 - delta) * pt + delta
-    out = list((1 - delta) * a for a in pt)
-    out[q - 1] += delta
-    return tuple(out)
 
 
 def cube_measure(q: int, tilde: Point, y: Sequence[int]) -> Fraction:
@@ -110,13 +101,13 @@ class DictInstance:
 
 
 def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
-                  eps=None) -> DictInstance:
+                  eps) -> DictInstance:
     """Materialize the hypercube instance for (inst, x, r, delta).
 
-    ``x`` must be hull-feasible; when ``eps`` is given, every entry must
-    already sit on the eps-grid (the caller snaps first).  An infeasible
-    ``x`` raises ``ValueError`` naming the first edge that fails, before
-    any DICT cap is checked.
+    ``x`` must be hull-feasible and every entry must already sit on the
+    eps-grid (the caller snaps first).  An infeasible ``x`` raises
+    ``ValueError`` naming the first edge that fails, before any DICT cap
+    is checked.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -124,12 +115,11 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
                          f"got {delta}")
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if eps is not None:
-        eps = check_grid_fraction(eps)
-        off = [inst.vertex_ids[u] for u, pt in enumerate(x)
-               if perturb_point(inst.q, pt, eps) != pt]
-        if off:
-            raise ValueError(f"solution entries off the eps-grid: {off}")
+    eps = check_grid_fraction(eps)
+    off = [inst.vertex_ids[u] for u, pt in enumerate(x)
+           if perturb_point(inst.q, pt, eps) != pt]
+    if off:
+        raise ValueError(f"solution entries off the eps-grid: {off}")
     check_solution(inst, x)
     if not all(point_in_domain(inst.q, pt) for pt in x):
         raise ValueError("solution is not hull-feasible")
@@ -188,16 +178,15 @@ def dictator_weight(D: DictInstance) -> Fraction:
                 for w, t in zip(D.bucket_weights, D.tilde_values)), ZERO)
 
 
-def completeness_check(D: DictInstance, inst: Instance | None = None,
-                       x: Sequence[Point] | None = None) -> dict:
+def completeness_check(D: DictInstance, inst: Instance,
+                       x: Sequence[Point]) -> dict:
     """Verify that every coordinate labeling is feasible and has the
     predicted exact cost; returns the per-coordinate report."""
     value = D.source_value
-    if inst is not None and x is not None:
-        recomputed = val(inst, x)
-        if recomputed != value:
-            raise ValueError(f"instance/solution pair has value "
-                             f"{recomputed}, expected {value}")
+    recomputed = val(inst, x)
+    if recomputed != value:
+        raise ValueError(f"instance/solution pair has value "
+                         f"{recomputed}, expected {value}")
     expected = (1 - D.delta) * value + D.delta * (D.q - 1)
     if dictator_weight(D) != expected:
         raise PropertyViolation(f"dictator weight {dictator_weight(D)} "
@@ -244,6 +233,21 @@ def cube_complement_table(D: DictInstance, labels: Sequence[int],
     return table
 
 
+def cube_influences(table: Sequence, tilt, d: int) -> list:
+    """Degree-d influences of a cube function under the tilt's measure.
+
+    A tilt of 0 or 1 makes the cube measure a point mass, under which
+    every influence vanishes: zeros, as floats for a float tilt.  A tilt
+    outside [0, 1] is no measure and raises ``ValueError``.
+    """
+    if 0 < tilt < 1:
+        return influences(table, tilt, d=d)
+    if tilt not in (0, 1):
+        raise ValueError(f"tilt {tilt} is outside [0, 1]")
+    zero = 0.0 if isinstance(tilt, float) else ZERO
+    return [zero] * (len(table).bit_length() - 1)
+
+
 def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
     """Snap a selection to the union of its almost-covered hypercubes.
 
@@ -272,12 +276,9 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
     if w_tj > w_s + delta:
         raise PropertyViolation(f"w(T_J) = {w_tj} exceeds w(S) + delta = "
                                 f"{w_s + delta}")
-    violated = None
-    for edge in D.instance.edges:
-        if not D.instance.predicates[edge.predicate].accepts(
-                tuple(tj_labels[v] for v in edge.vertices)):
-            violated = tuple(D.instance.vertex_ids[v] for v in edge.vertices)
-            break
+    e = violated_edge(D.instance, tj_labels)
+    violated = None if e is None else tuple(
+        D.instance.vertex_ids[v] for v in D.instance.edges[e].vertices)
     return {"J": tuple(J), "labels": tj_labels, "outside_mass": outside,
             "weight_S": w_s, "weight_TJ": w_tj,
             "bound_ok": True, "feasible": violated is None,
@@ -297,11 +298,6 @@ def bucket_constant_opt(D: DictInstance):
     return cheapest_labeling(cubes)
 
 
-def dict_opt(D: DictInstance):
-    """Exhaustive optimum over all labelings (tiny instances only)."""
-    return brute_force_opt(D.instance)
-
-
 def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,
                         d: int) -> dict:
     """Largest degree-d influence over all hypercubes and coordinates.
@@ -317,20 +313,11 @@ def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,
     argmax = None
     table_out = []
     for b in range(D.m):
-        tilde = D.tilde_values[b]
-        row = []
-        if 0 < tilde < 1:
-            expansion = biased_fourier(cube_complement_table(D, labels, b),
-                                       tilde)
-            for i in range(D.r):
-                inf = expansion.degree_d_influence(i, d)
-                row.append(inf)
-                if inf > worst:
-                    worst, argmax = inf, (b, i)
-        else:
-            # degenerate tilt: the cube measure is a point mass and
-            # every influence vanishes
-            row = [ZERO] * D.r
+        row = cube_influences(cube_complement_table(D, labels, b),
+                              D.tilde_values[b], d)
+        for i, inf in enumerate(row):
+            if inf > worst:
+                worst, argmax = inf, (b, i)
         table_out.append(row)
     return {"tau": tau, "d": d, "max_influence": worst, "argmax": argmax,
             "pseudo_random": worst <= tau, "influences": table_out}

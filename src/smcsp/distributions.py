@@ -34,6 +34,7 @@ from .model import (
     PropertyViolation,
     ZERO,
     point_distribution,
+    tilted_value,
 )
 
 
@@ -142,13 +143,9 @@ def expected_margin(q: int, pt: Point, delta=None) -> tuple:
     the vertex's own label distribution; smoothing mixes it with the
     point mass on the top label at rate delta.
     """
-    base = point_distribution(q, pt)
-    if delta is None:
-        return base
-    delta = Fraction(delta)
-    out = [a * (1 - delta) for a in base]
-    out[q - 1] += delta
-    return tuple(out)
+    if delta is not None:
+        pt = tilted_value(q, pt, Fraction(delta))
+    return point_distribution(q, pt)
 
 
 def restrict(dist: EdgeDistribution, coords: Sequence[int]) -> dict:
@@ -207,12 +204,13 @@ def maximal_correlation(dist: EdgeDistribution, side1: Sequence[int],
 
 
 def cheeger_check(dist: EdgeDistribution, side1: Sequence[int],
-                  side2: Sequence[int], slack: float = 1e-6) -> dict:
+                  side2: Sequence[int]) -> dict:
     """Correlation bound from the smallest atom of the restricted joint.
 
     For a connected bipartite support graph the maximal correlation is
     at most ``1 - alpha**2 / 2`` with ``alpha`` the smallest positive
-    joint probability.  Disconnected supports are reported and skipped.
+    joint probability, checked up to a slack of 1e-6 for the SVD's float
+    error.  Disconnected supports are reported and skipped.
     """
     rows, cols, matrix = joint_matrix(dist, side1, side2)
     edges = [
@@ -243,5 +241,5 @@ def cheeger_check(dist: EdgeDistribution, side1: Sequence[int],
         "alpha": alpha,
         "rho": rho,
         "bound": bound,
-        "ok": (not connected) or rho <= bound + slack,
+        "ok": (not connected) or rho <= bound + 1e-6,
     }

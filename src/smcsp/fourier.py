@@ -60,10 +60,7 @@ class BiasedFourierExpansion:
         return sum(self.coefficient_sq(m) for m in range(1 << self.r))
 
     def influence(self, i: int):
-        self._check_coord(i)
-        bit = 1 << i
-        return sum(self.coefficient_sq(m) for m in range(1 << self.r)
-                   if m & bit)
+        return self.degree_d_influence(i, self.r)
 
     def degree_d_influence(self, i: int, d: int):
         self._check_coord(i)
@@ -119,15 +116,14 @@ def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
 def influence(table: Sequence, i: int, p, *, d: int | None = None):
     """Inf_i of the table's function; degree-d truncation when d given."""
     expansion = biased_fourier(table, p)
-    if d is None:
-        return expansion.influence(i)
-    return expansion.degree_d_influence(i, d)
+    return expansion.degree_d_influence(i, expansion.r if d is None else d)
 
 
 def influences(table: Sequence, p, *, d: int | None = None) -> list:
+    """Inf_i for every coordinate i; degree-d truncation when d given."""
     expansion = biased_fourier(table, p)
     if d is None:
-        return [expansion.influence(i) for i in range(expansion.r)]
+        d = expansion.r
     return [expansion.degree_d_influence(i, d) for i in range(expansion.r)]
 
 
@@ -174,7 +170,3 @@ def mask_of(y: Sequence[int]) -> int:
             raise ValueError(f"not a boolean string: {tuple(y)}")
         mask |= a << i
     return mask
-
-
-def point_of(mask: int, r: int) -> tuple:
-    return tuple((mask >> i) & 1 for i in range(r))

@@ -68,6 +68,19 @@ class LpSolution:
     basis: tuple           # sorted tuple of basic column names
 
 
+def _hull_rows(q: int, e: Edge, atoms: Sequence[tuple]) -> list:
+    """Label-indicator rows of edge e's hull constraints, as (v, i, row).
+
+    Each says that vertex v's mass on label i equals the lambda-mass of
+    the accepted tuples with label i at v's position in e; ``row`` is
+    that 0/1 int indicator over ``atoms``.  For q == 2 only label 1 has
+    a row: the point is the scalar mass on label 1.
+    """
+    labels = (1,) if q == 2 else range(q)
+    return [(v, i, [1 if t[j] == i else 0 for t in atoms])
+            for j, v in enumerate(e.vertices) for i in labels]
+
+
 def build_lp(inst: Instance) -> LpProblem:
     q = inst.q
     col_names: list = []
@@ -99,37 +112,24 @@ def build_lp(inst: Instance) -> LpProblem:
     A: list = []
     b: list = []
 
-    def new_row():
-        A.append([ZERO] * ncols)
-        b.append(ZERO)
+    def new_row(rhs):
+        A.append([0] * ncols)
+        b.append(rhs)
         return A[-1]
 
     if q > 2:
         for v in range(inst.n):
-            row = new_row()
+            row = new_row(ONE)
             for col in x_cols[v]:
-                row[col] = ONE
-            b[-1] = ONE
+                row[col] = 1
 
     for e, (start, atoms) in zip(inst.edges, edge_atoms):
-        for j, v in enumerate(e.vertices):
-            if q == 2:
-                row = new_row()
-                row[x_cols[v]] = ONE
-                for a, t in enumerate(atoms):
-                    if t[j] == 1:
-                        row[start + a] = -ONE
-            else:
-                for i in range(q):
-                    row = new_row()
-                    row[x_cols[v][i]] = ONE
-                    for a, t in enumerate(atoms):
-                        if t[j] == i:
-                            row[start + a] = -ONE
-        row = new_row()
-        for a in range(len(atoms)):
-            row[start + a] = ONE
-        b[-1] = ONE
+        for v, i, indicator in _hull_rows(q, e, atoms):
+            row = new_row(ZERO)
+            row[x_cols[v] if q == 2 else x_cols[v][i]] = 1
+            row[start:start + len(atoms)] = [-a for a in indicator]
+        row = new_row(ONE)
+        row[start:start + len(atoms)] = [1] * len(atoms)
 
     return LpProblem(inst, col_names, c, A, b, x_cols, edge_atoms)
 
@@ -190,18 +190,9 @@ def edge_mixture(inst: Instance, x: Sequence[Point], e: Edge):
     """
     q = inst.q
     atoms = upward_closure(inst.predicate_of(e))
-    A: list = []
-    b: list = []
-    for j, v in enumerate(e.vertices):
-        if q == 2:
-            A.append([ONE if t[j] == 1 else ZERO for t in atoms])
-            b.append(x[v])
-        else:
-            for i in range(q):
-                A.append([ONE if t[j] == i else ZERO for t in atoms])
-                b.append(x[v][i])
-    A.append([ONE] * len(atoms))
-    b.append(ONE)
+    rows = _hull_rows(q, e, atoms)
+    A = [indicator for _, _, indicator in rows] + [[1] * len(atoms)]
+    b = [x[v] if q == 2 else x[v][i] for v, i, _ in rows] + [ONE]
     res = simplex.find_feasible_point(A, b)
     if res.status != simplex.OPTIMAL:
         return None

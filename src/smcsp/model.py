@@ -125,12 +125,12 @@ def upward_closure(pred: Predicate) -> tuple:
     return accepted
 
 
-def covering_predicate(arity: int, name: str = "") -> Predicate:
+def covering_predicate(arity: int) -> Predicate:
     """The boolean 'at least one 1' predicate (minimal set = unit tuples)."""
     minimal = tuple(sorted(
         tuple(1 if j == i else 0 for j in range(arity)) for i in range(arity)
     ))
-    return Predicate(name or f"cover{arity}", arity, 2, minimal)
+    return Predicate(f"cover{arity}", arity, 2, minimal)
 
 
 def is_covering_predicate(pred: Predicate) -> bool:
@@ -261,13 +261,18 @@ def assignment_cost(inst: Instance, labels: Sequence[int]) -> Fraction:
     )
 
 
-def is_feasible(inst: Instance, labels: Sequence[int]) -> bool:
+def violated_edge(inst: Instance, labels: Sequence[int]) -> int | None:
+    """Index of the first edge whose tuple is rejected, None if none is."""
     validate_assignment(inst, labels)
-    for e in inst.edges:
+    for i, e in enumerate(inst.edges):
         pred = inst.predicate_of(e)
         if not pred.accepts(tuple(labels[v] for v in e.vertices)):
-            return False
-    return True
+            return i
+    return None
+
+
+def is_feasible(inst: Instance, labels: Sequence[int]) -> bool:
+    return violated_edge(inst, labels) is None
 
 
 def collapse(inst: Instance, part_of: Sequence[int], ids: Sequence) -> Instance:
@@ -412,6 +417,15 @@ def point_distribution(q: int, pt: Point) -> tuple:
     if q == 2:
         return (ONE - pt, pt)
     return pt
+
+
+def tilted_value(q: int, pt: Point, delta: Fraction) -> Point:
+    """(1 - delta) * p + delta * (top label point)."""
+    if q == 2:
+        return (1 - delta) * pt + delta
+    out = list((1 - delta) * a for a in pt)
+    out[q - 1] += delta
+    return tuple(out)
 
 
 def label_point(q: int, a: int) -> Point:

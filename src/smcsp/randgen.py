@@ -60,17 +60,14 @@ def random_instance(rng: random.Random, q: int, n: int, n_edges: int,
 
 
 def random_cover_instance(rng: random.Random, n: int, n_edges: int,
-                          arity: int = 2, *,
-                          uniform: bool = False) -> Instance:
+                          arity: int = 2) -> Instance:
     """Random covering instance (a weighted graph when arity is 2)."""
     pred = covering_predicate(arity)
     pool = list(itertools.combinations(range(n), arity))
     rng.shuffle(pool)
     chosen = sorted(pool[:min(n_edges, len(pool))])
-    weights = ([Fraction(1, n)] * n if uniform
-               else random_weights(rng, n))
     edges = [(verts, 0) for verts in chosen]
-    return make_instance(2, weights, [pred], edges)
+    return make_instance(2, random_weights(rng, n), [pred], edges)
 
 
 def random_feasible_assignment(rng: random.Random, inst: Instance) -> tuple:
@@ -87,12 +84,10 @@ def random_feasible_assignment(rng: random.Random, inst: Instance) -> tuple:
     return tuple(labels)
 
 
-def random_feasible_solution(rng: random.Random, inst: Instance,
-                             mixes: int = 3) -> list:
-    """Hull-feasible point: convex mix of feasible integral labelings."""
-    assignments = [random_feasible_assignment(rng, inst)
-                   for _ in range(mixes)]
-    coeffs = random_weights(rng, mixes)
+def random_feasible_solution(rng: random.Random, inst: Instance) -> list:
+    """Hull-feasible point: convex mix of three feasible labelings."""
+    assignments = [random_feasible_assignment(rng, inst) for _ in range(3)]
+    coeffs = random_weights(rng, 3)
     return solution_from_assignments(inst, assignments, coeffs)
 
 
@@ -101,12 +96,12 @@ def random_subset_labels(rng: random.Random, n: int) -> tuple:
 
 
 def random_game(rng: random.Random, r: int, n_left: int, n_right: int,
-                extra_edges: int = 0, *, satisfiable: bool = True):
-    """Projection game, optionally consistent with a hidden labeling.
+                extra_edges: int = 0):
+    """Projection game consistent with a hidden labeling.
 
     Every left vertex gets at least one edge.  Returns (game, hidden)
-    where hidden is the planted labeling (satisfying every edge when
-    ``satisfiable``) over both sides.
+    where hidden is the planted labeling, satisfying every edge, over
+    both sides.
     """
     left = [f"u{i}" for i in range(n_left)]
     right = [f"v{i}" for i in range(n_right)]
@@ -118,12 +113,11 @@ def random_game(rng: random.Random, r: int, n_left: int, n_right: int,
     for u, v in pairs:
         perm = list(range(r))
         rng.shuffle(perm)
-        if satisfiable:
-            a, b = hidden[left[u]], hidden[right[v]]
-            # swap so the bijection sends the planted left label to the
-            # planted right label
-            j = perm.index(b)
-            perm[j], perm[a] = perm[a], b
+        a, b = hidden[left[u]], hidden[right[v]]
+        # swap so the bijection sends the planted left label to the
+        # planted right label
+        j = perm.index(b)
+        perm[j], perm[a] = perm[a], b
         edges.append((u, v, perm))
     weights = random_weights(rng, len(edges))
     game = UgInstance(

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .caps import check_bits
-from .dictators import DictInstance, cube_complement_table, dictator_weight
-from .fourier import biased_fourier
+from .dictators import (DictInstance, cube_complement_table, cube_influences,
+                        dictator_weight)
 from .model import (Instance, PropertyViolation, assignment_cost,
                     is_feasible, make_instance)
 
@@ -255,7 +255,7 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
 
 
 def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
-                    *, tau: float = 0.0, d: int | None = None):
+                    *, tau=ZERO, d: int | None = None):
     """Game labeling read off a labeling of ``compose(ug, D)`` (q = 2).
 
     ``labels`` is in composed vertex order.  Each copy is pulled back
@@ -263,9 +263,9 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
     the incident copies are averaged (weighted by edge mass) into one
     function per hypercube.  The right label is the coordinate of
     largest degree-d influence over all hypercubes, 0 if no influence
-    clears tau.  Each left vertex pulls the label of its heaviest edge
-    back through that edge's bijection.  Returns (labels by vertex id,
-    influence table).
+    clears tau (floats compare exactly with a rational tau).  Each left
+    vertex pulls the label of its heaviest edge back through that edge's
+    bijection.  Returns (labels by vertex id, influence table).
     """
     if D.q != 2:
         raise ValueError("decoding is defined for q = 2 only")
@@ -296,15 +296,9 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
                     table[mask] += coeff * c
             per_cube.append(table)
         per_i = [0.0] * r
-        rows = []
-        for b, table in enumerate(per_cube):
-            p = float(D.tilde_values[b])
-            if not 0.0 < p < 1.0:
-                rows.append([0.0] * r)
-                continue
-            expansion = biased_fourier(table, p)
-            row = [expansion.degree_d_influence(i, d) for i in range(r)]
-            rows.append(row)
+        rows = [cube_influences(table, float(D.tilde_values[b]), d)
+                for b, table in enumerate(per_cube)]
+        for row in rows:
             for i, inf in enumerate(row):
                 per_i[i] = max(per_i[i], inf)
         influence_table[vid] = rows

@@ -13,7 +13,8 @@ import pytest
 from smcsp import cli, io
 from smcsp.dictators import dict_view, pseudo_random_check
 from smcsp.randgen import vc_edge
-from smcsp.unique_games import UgInstance, completeness_solution, compose
+from smcsp.unique_games import (UgInstance, completeness_solution, compose,
+                                decode_labeling)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -139,6 +140,33 @@ def test_dict_reduce_decode_round_trip(tmp_path, capsys):
                          "--solution", sel_file, "--ug", game_file)
     assert code2 == 0
     assert out2 == out
+
+
+def test_decode_tau_is_rational(tmp_path, capsys):
+    dict_file, game_file, composed_file, _ = _reduce_pipeline(tmp_path,
+                                                              capsys)
+    game = io.parse_ug(game_file.read_text())
+    D = dict_view(io.parse_instance(dict_file.read_text()))
+    Finst = io.parse_instance(composed_file.read_text())
+    # planting R0 = 1 puts the only influence (about 0.09) on coordinate 1
+    selection, _ = completeness_solution(game, {"L0": 1, "L1": 0, "R0": 1},
+                                         ["L0", "L1"], D, Finst)
+    sel_file = tmp_path / "sel1.json"
+    sel_file.write_text(io.serialize_assignment(Finst, selection))
+    base = ["decode", "--f", composed_file, "--solution", sel_file,
+            "--ug", game_file, "--dict", dict_file, "--json"]
+    for extra, tau, r0 in (([], F(0), 1), (["--tau", "1/2"], F(1, 2), 0)):
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == 0
+        labels, table = decode_labeling(game, D, selection, tau=tau)
+        assert labels["R0"] == r0
+        assert json.loads(out) == cli._jsonable({"labels": labels,
+                                                 "satisfied_weight": F(1),
+                                                 "influences": table})
+    for tau in ("0.5", "nan"):
+        code, out, err = run(capsys, *base, "--tau", tau)
+        assert (code, out) == (3, "")
+        assert f"--tau: malformed rational '{tau}'" in err
 
 
 def _decode_error(tmp_path, capsys, game=None, r_dict=None,
@@ -270,6 +298,12 @@ def test_analyze_influences(tmp_path, capsys):
     report = pseudo_random_check(biased, dictator_assignment(D, 1), F(0),
                                  D.r)
     assert json.loads(out) == cli._jsonable(report)
+    # a bias outside [0, 1] is no measure: it used to print zeros and True
+    for p in ("3/2", "-1/3"):
+        code, out, err = run(capsys, "analyze", "influences", dict_file,
+                             "--assignment", sel, f"--p={p}")
+        assert (code, out) == (3, "")
+        assert f"tilt {p} is outside [0, 1]" in err
 
 
 # ---------------------------------------------------------------------------

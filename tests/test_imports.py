@@ -1,7 +1,11 @@
-"""Package hygiene: every module uses every name it imports."""
+"""Package hygiene: every module uses every name it imports, and every
+unexported top-level definition is used somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import smcsp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "smcsp"
 
@@ -25,3 +29,25 @@ def test_package_modules_use_every_import():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _references(node) -> Counter:
+    """How often each name is read, as a name or an attribute, in node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_unexported_definition_is_used():
+    # a top-level def or class that smcsp.__all__ does not export must be
+    # referenced somewhere in the package outside its own body
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()),
+                     Counter())
+    unused = [f"{name}:{node.name}"
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in smcsp.__all__
+              and everywhere[node.name] == _references(node)[node.name]]
+    assert unused == []

@@ -10,12 +10,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from smcsp.caps import CapExceeded
 from smcsp.lp import check_feasible_fractional, lp_value, solve_lp, val
 from smcsp.model import Predicate, brute_force_opt, make_instance
-from smcsp.randgen import (hvc, random_feasible_solution, random_instance,
+from smcsp.randgen import (hvc, random_cover_instance,
+                           random_feasible_solution, random_instance,
                            ternary_chain, vc_edge)
 from smcsp.rounding import (bucketed_instance, check_grid_fraction,
                             grid_points, grid_size, integrality_report,
@@ -218,6 +221,30 @@ def test_round_cap(monkeypatch):
     inst = hvc(4)
     with pytest.raises(CapExceeded):
         round_solution(inst, solve_lp(inst).x, F(1, 4))
+
+
+@st.composite
+def lp_instances(draw):
+    q = draw(st.sampled_from([2, 3]))
+    n, m = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if q == 2 and draw(st.booleans()):
+        # covering LPs have fractional optima, which the snap moves; the
+        # optima of random monotone instances are nearly always integral
+        arity = draw(st.integers(2, min(3, n)))
+        return random_cover_instance(rng, n, m, arity)
+    return random_instance(rng, q, n, m)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lp_instances(), st.integers(2, 6))
+def test_lp_opt_round_sandwich_and_snap_increase(inst, k):
+    eps = F(1, k)
+    sol = solve_lp(inst)
+    assert (sol.objective <= brute_force_opt(inst)[0]
+            <= round_solution(inst, sol.x, eps).value)
+    increase = val(inst, perturb(inst, sol.x, eps).x_eps) - sol.objective
+    assert 0 <= increase <= (eps if inst.q == 2 else eps * inst.q ** 2)
 
 
 def test_integrality_report_fields_are_consistent():
