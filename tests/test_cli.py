@@ -1,8 +1,10 @@
 """Command-line surface: outputs, exit codes, pipeline round trips."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -389,3 +391,82 @@ def test_check_subcommand_single_criterion(capsys):
     assert code == 0
     assert "[PASS] criterion  1" in out
     assert "1/1 criteria passed" in out
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+# sha256 over every command of ``_pinned_cli_records`` below: argv, exit
+# code, stdout, stderr and the bytes of the file it writes; it changes
+# only if some output byte on the fixtures changes
+CLI_DIGEST = ("0b8beb3fcf30799daf0571a8dc64baa4"
+              "dbadd8a79bb422120b7395525e330bec")
+
+INSTANCES = ("hvc3", "hvc4", "ternary_chain", "triangle", "vc_edge")
+BOOLEAN = ("hvc3", "hvc4", "triangle", "vc_edge")
+GAMES = ("ug_small", "ug_twisted_cycle")
+
+
+def _pinned_cli_records(capsys) -> list:
+    """Every command below in human and ``--json`` mode, run in the
+    current directory, which holds a copy of ``fixtures/``."""
+    records = []
+
+    def call(*argv, output=None):
+        for mode in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *mode)
+            written = None
+            if output is not None and Path(output).exists():
+                written = hashlib.sha256(Path(output).read_bytes()).hexdigest()
+            records.append([list(argv) + mode, code, out, err, written])
+
+    def selection(path, rule):
+        ids = [v["id"] for v in json.loads(Path(path).read_text())["vertices"]]
+        sel = f"sel_{len(records)}.json"
+        Path(sel).write_text(json.dumps(
+            {"labels": {vid: rule(i) for i, vid in enumerate(ids)}}))
+        return sel
+
+    patterns = (lambda i: 1, lambda i: int(i % 3 != 1))
+    for name in INSTANCES:
+        inst = f"fixtures/{name}.json"
+        call("lp", inst)
+        call("lp", inst, "--lambdas")
+        call("oracle", inst)
+        for k in range(2, 7):
+            call("round", inst, "--eps", f"1/{k}")
+            call("round", inst, "--eps", f"1/{k}", "--report")
+        for r in (1, 2):
+            dict_file = f"dict_{name}_{r}.json"
+            args = (inst, "--eps", "1/2", "--delta", "1/10", "--r", str(r))
+            call("dict", *args, "-o", dict_file, output=dict_file)
+            call("dict-check", *args)
+    for extra in ([], ["--report"]):
+        call("round", "fixtures/hvc3.json", "--eps", "1/6", "--solution",
+             "fixtures/hvc3_uniform.solution.json", *extra)
+    for name in BOOLEAN:
+        for r in (1, 2):
+            dict_file = f"dict_{name}_{r}.json"
+            for rule in patterns:
+                call("analyze", "influences", dict_file, "--assignment",
+                     selection(dict_file, rule))
+        dict_file = f"dict_{name}_2.json"
+        for game in GAMES:
+            composed = f"composed_{name}_{game}.json"
+            game_file = f"fixtures/{game}.json"
+            call("reduce", "--ug", game_file, "--dict", dict_file, "-o",
+                 composed, output=composed)
+            for rule in patterns:
+                args = ("decode", "--f", composed, "--solution",
+                        selection(composed, rule), "--ug", game_file)
+                call(*args)
+                call(*args, "--dict", dict_file)
+    return records
+
+
+def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps(_pinned_cli_records(capsys), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGEST
