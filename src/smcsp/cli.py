@@ -30,7 +30,7 @@ from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
 from .model import (PropertyViolation, brute_force_opt, check_solution,
-                    covering_predicate, make_instance)
+                    make_instance)
 from .rounding import integrality_report, perturb, round_solution
 from .unique_games import (compose, composed_vertex_ids, decode_labeling,
                            p_left, ug_satisfied_weight)
@@ -264,9 +264,7 @@ def _view_from_composed(game, composed):
     if not ids:
         raise ValueError(f"cannot recover cube structure: no composed vertex "
                          f"belongs to left vertex {uid!r} (pass --dict)")
-    block = make_instance(composed.q, weights, [covering_predicate(2)], [],
-                          ids)
-    return dict_view(block)
+    return dict_view(make_instance(composed.q, weights, [], [], ids))
 
 
 def cmd_analyze_gamma(args) -> int:

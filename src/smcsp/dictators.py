@@ -66,6 +66,13 @@ def cube_measure(q: int, tilde: Point, y: Sequence[int]) -> Fraction:
     return prob
 
 
+def _cube_points(m: int, q: int, r: int) -> list:
+    """The (b, y) vertices of m hypercubes [q]^r: cube by cube, y in
+    lexicographic order."""
+    return [(b, y) for b in range(m)
+            for y in itertools.product(range(q), repeat=r)]
+
+
 def dict_vertex_id(b: int, y: Sequence[int]) -> str:
     return f"b{b}:y" + "".join(str(a) for a in y)
 
@@ -84,8 +91,7 @@ class DictInstance:
     r: int
     delta: Fraction
     eps: Fraction | None
-    bucket_values: tuple     # distinct solution values, first occurrence
-    tilde_values: tuple      # tilted values, aligned with bucket_values
+    tilde_values: tuple      # tilted value per cube, in bucket order
     bucket_weights: tuple    # total source weight per bucket
     bucket_of: tuple | None  # source vertex index -> bucket
     source_value: Fraction | None  # val of the generating pair
@@ -93,7 +99,7 @@ class DictInstance:
 
     @property
     def m(self) -> int:
-        return len(self.bucket_values)
+        return len(self.tilde_values)
 
     @property
     def q(self) -> int:
@@ -134,14 +140,10 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
         bucket_weights[bucket_of[u]] += w
     tilde = tuple(tilted_value(q, p, delta) for p in values)
 
-    ids = []
-    weights = []
-    points = []
-    for b in range(m):
-        for y in itertools.product(range(q), repeat=r):
-            ids.append(dict_vertex_id(b, y))
-            weights.append(cube_measure(q, tilde[b], y) * bucket_weights[b])
-            points.append((b, y))
+    points = _cube_points(m, q, r)
+    weights = [cube_measure(q, tilde[b], y) * bucket_weights[b]
+               for b, y in points]
+    ids = [dict_vertex_id(b, y) for b, y in points]
     index = {pt: i for i, pt in enumerate(points)}
 
     edge_set = set()
@@ -160,9 +162,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     edges = sorted(edge_set)
 
     out = make_instance(q, weights, inst.predicates, edges, ids)
-    return DictInstance(out, r, delta, eps, values, tilde,
-                        tuple(bucket_weights), bucket_of, val(inst, x),
-                        tuple(points))
+    return DictInstance(out, r, delta, eps, tilde, tuple(bucket_weights),
+                        bucket_of, val(inst, x), tuple(points))
 
 
 def dictator_assignment(D: DictInstance, i: int) -> tuple:
@@ -237,9 +238,12 @@ def cube_influences(table: Sequence, tilt, d: int) -> list:
     """Degree-d influences of a cube function under the tilt's measure.
 
     A tilt of 0 or 1 makes the cube measure a point mass, under which
-    every influence vanishes: zeros, as floats for a float tilt.  A tilt
-    outside [0, 1] is no measure and raises ``ValueError``.
+    every influence vanishes: zeros, as floats for a float tilt.  A
+    negative d, or a tilt outside [0, 1], which is no measure, raises
+    ``ValueError``.
     """
+    if d < 0:
+        raise ValueError("degree bound must be nonnegative")
     if 0 < tilt < 1:
         return influences(table, tilt, d=d)
     if tilt not in (0, 1):
@@ -259,13 +263,14 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
     """
     _require_boolean(D)
     delta = D.delta
+    cube = 2 ** D.r
     J = []
     outside = []
     for b in range(D.m):
-        table = cube_complement_table(D, labels, b)
+        block = slice(b * cube, (b + 1) * cube)
         mass = sum((cube_measure(2, D.tilde_values[b], y)
-                    for y in itertools.product((0, 1), repeat=D.r)
-                    if table[mask_of(y)]), ZERO)
+                    for (_, y), a in zip(D.points[block], labels[block])
+                    if not a), ZERO)
         outside.append(mass)
         if mass <= delta:
             J.append(b)
@@ -307,8 +312,6 @@ def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,
     """
     _require_boolean(D)
     tau = Fraction(tau)
-    if d < 0:
-        raise ValueError("degree bound must be nonnegative")
     worst = ZERO
     argmax = None
     table_out = []
@@ -334,17 +337,17 @@ def dict_view(inst: Instance) -> DictInstance:
     weights, so the result supports decoding and subset analysis but
     has no generation parameters (delta, eps, source value).
     """
-    points = tuple(parse_dict_vertex_id(vid) for vid in inst.vertex_ids)
-    if not points:
+    parsed = [parse_dict_vertex_id(vid) for vid in inst.vertex_ids]
+    if not parsed:
         raise ValueError("instance has no vertices")
-    r = len(points[0][1])
-    m = max(b for b, _ in points) + 1
-    expected = [(b, y) for b in range(m)
-                for y in itertools.product(range(inst.q), repeat=r)]
-    if list(points) != expected:
+    r = len(parsed[0][1])
+    m = max(b for b, _ in parsed) + 1
+    cube = inst.q ** r
+    # counting first keeps a stray large cube index from being enumerated
+    points = _cube_points(m, inst.q, r) if len(parsed) == m * cube else ()
+    if list(inst.vertex_ids) != [dict_vertex_id(b, y) for b, y in points]:
         raise ValueError("vertex ids do not enumerate full hypercubes "
                          "in canonical order")
-    cube = inst.q ** r
     bucket_weights = []
     tilde = []
     for b in range(m):
@@ -358,5 +361,5 @@ def dict_view(inst: Instance) -> DictInstance:
         for (bb, y), w in zip(points[b * cube: (b + 1) * cube], block):
             margin[y[0]] += w / w_b
         tilde.append(margin[1] if inst.q == 2 else tuple(margin))
-    return DictInstance(inst, r, None, None, (None,) * m, tuple(tilde),
-                        tuple(bucket_weights), None, None, points)
+    return DictInstance(inst, r, None, None, tuple(tilde),
+                        tuple(bucket_weights), None, None, tuple(points))

@@ -51,16 +51,6 @@ class EdgeDistribution:
     predicate: Predicate
     atoms: tuple  # ((labels tuple, positive Fraction), ...) sorted by tuple
 
-    @property
-    def support(self) -> tuple:
-        return tuple(t for t, _ in self.atoms)
-
-    def prob(self, t: tuple) -> Fraction:
-        for s, p in self.atoms:
-            if s == t:
-                return p
-        return ZERO
-
     def total(self) -> Fraction:
         return sum((p for _, p in self.atoms), ZERO)
 
@@ -184,21 +174,18 @@ def maximal_correlation(dist: EdgeDistribution, side1: Sequence[int],
     support point has correlation 0 by convention.  Accuracy is limited
     only by the double-precision SVD (~1e-9 in practice).
     """
-    rows, cols, matrix = joint_matrix(dist, side1, side2)
-    if len(rows) == 1 or len(cols) == 1:
+    return _maximal_correlation(joint_matrix(dist, side1, side2)[2])
+
+
+def _maximal_correlation(matrix) -> float:
+    """Second singular value of the normalized joint matrix."""
+    if len(matrix) == 1 or len(matrix[0]) == 1:
         return 0.0
     p1 = [sum(row, ZERO) for row in matrix]
-    p2 = [sum((matrix[i][j] for i in range(len(rows))), ZERO)
-          for j in range(len(cols))]
-    Q = np.array(
-        [
-            [
-                float(matrix[i][j]) / math.sqrt(float(p1[i]) * float(p2[j]))
-                for j in range(len(cols))
-            ]
-            for i in range(len(rows))
-        ]
-    )
+    p2 = [sum(col, ZERO) for col in zip(*matrix)]
+    Q = np.array([[float(a) / math.sqrt(float(s1) * float(s2))
+                   for a, s2 in zip(row, p2)]
+                  for row, s1 in zip(matrix, p1)])
     sv = np.linalg.svd(Q, compute_uv=False)
     return float(min(max(sv[1], 0.0), 1.0))
 
@@ -234,7 +221,7 @@ def cheeger_check(dist: EdgeDistribution, side1: Sequence[int],
         stack.extend(adjacency[node] - seen)
     connected = seen == nodes
     alpha = min(matrix[i][j] for i, j in edges)
-    rho = maximal_correlation(dist, side1, side2)
+    rho = _maximal_correlation(matrix)
     bound = 1 - float(alpha) ** 2 / 2
     return {
         "connected": connected,

@@ -9,14 +9,12 @@ product measure with per-coordinate mean p.
 Internally the expansion stores the raw moments
 ``c_S = E[f * prod_{i in S} (y_i - p)]``, which are rational whenever p
 and the table are.  Squared coefficients come out exactly as
-``c_S^2 / (p(1-p))^|S|``; only the signed coefficients themselves need
-a square root.  Squared quantities (Parseval sums, influences) are
-therefore exact Fractions in rational mode and floats otherwise.
+``c_S^2 / (p(1-p))^|S|``, so squared quantities (Parseval sums,
+influences) are exact Fractions in rational mode and floats otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -47,14 +45,6 @@ class BiasedFourierExpansion:
         c = self.moments[mask]
         size = mask.bit_count()
         return c * c / self.variance_unit ** size
-
-    def coefficient(self, mask: int) -> float:
-        c = float(self.moments[mask])
-        size = mask.bit_count()
-        return c / math.sqrt(float(self.variance_unit)) ** size
-
-    def mean(self):
-        return self.moments[0]
 
     def parseval_sum(self):
         return sum(self.coefficient_sq(m) for m in range(1 << self.r))

@@ -19,7 +19,9 @@ Unique-games document::
     }
 
 Rationals are strings ``"num/den"`` in lowest terms with a positive
-denominator; plain JSON integers are accepted as shorthand for ``n/1``.
+denominator, each part spelled as ``str`` prints the integer (no ``+``,
+``-0``, spaces, leading zeros, ``_`` or non-ASCII digits); plain JSON
+integers are accepted as shorthand for ``n/1``.
 Permutations are written 1-indexed on the wire (``pi[j]`` is the image
 of ``j``) and converted to 0-based tuples internally.  Serialization is
 canonical, so parse -> serialize -> parse is a fixed point.  A top-level
@@ -61,6 +63,10 @@ def parse_rational(value, what: str = "value") -> Fraction:
         num, den = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ParseError(f"{what}: malformed rational {value!r}") from exc
+    # int() also reads '+', '-0', spaces, leading zeros, '_' and non-ASCII
+    # digits; only the spelling str() gives back is canonical
+    if parts != [str(num), str(den)]:
+        raise ParseError(f"{what}: malformed rational {value!r}")
     if den <= 0:
         raise ParseError(f"{what}: denominator must be positive in {value!r}")
     if math.gcd(abs(num), den) != 1:

@@ -61,7 +61,6 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    problem: LpProblem
     objective: Fraction
     x: list                # per-vertex points
     lambdas: list          # per edge: {accepted tuple -> positive Fraction}
@@ -159,7 +158,7 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     if res.objective != value:
         raise PropertyViolation(f"simplex objective {res.objective} "
                                 f"differs from val(x) = {value}")
-    return LpSolution(problem, res.objective, x, lambdas, basis)
+    return LpSolution(res.objective, x, lambdas, basis)
 
 
 def solve_lp(inst: Instance) -> LpSolution:

@@ -68,9 +68,7 @@ def perturb_point(q: int, pt: Point, eps: Fraction) -> Point:
 
 @dataclass
 class PerturbedSolution:
-    eps: Fraction
-    x: list             # the input solution
-    x_eps: list         # its snapped image
+    x_eps: list         # the snapped image of the input solution
     bucket_values: list  # distinct snapped values, ascending
     bucket_of: list      # vertex -> bucket index
 
@@ -87,7 +85,7 @@ def perturb(inst: Instance, x: Sequence[Point], eps) -> PerturbedSolution:
     if len(bucket_values) > points:
         raise PropertyViolation(f"{len(bucket_values)} buckets exceed the "
                                 f"{points} grid points")
-    return PerturbedSolution(eps, list(x), x_eps, bucket_values, bucket_of)
+    return PerturbedSolution(x_eps, bucket_values, bucket_of)
 
 
 def grid_points(q: int, eps) -> list:
@@ -140,8 +138,6 @@ class RoundResult:
     value: Fraction
     labels: tuple           # full assignment on the instance
     bucket_values: list     # ascending snapped values
-    bucket_labels: tuple    # chosen label per bucket, same order
-    perturbed: PerturbedSolution
 
 
 def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
@@ -157,7 +153,7 @@ def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
     check_bits("ROUND", inst.q ** m, "bucket labeling space")
     value, z = cheapest_labeling(_collapse_buckets(inst, pert))
     labels = tuple(z[b] for b in pert.bucket_of)
-    return RoundResult(value, labels, pert.bucket_values, z, pert)
+    return RoundResult(value, labels, pert.bucket_values)
 
 
 def bucketed_instance(inst: Instance, x: Sequence[Point], eps):

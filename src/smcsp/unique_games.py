@@ -98,8 +98,8 @@ def ug_satisfied_weight(ug: UgInstance, labels: Mapping[str, int]) -> Fraction:
         if not isinstance(a, int) or not 0 <= a < ug.r:
             raise ValueError(f"vertex {vid!r}: label must be in "
                              f"0..{ug.r - 1}, got {a!r}")
-    return sum((wt for u, v, wt, perm in ug.edges
-                if labels[ug.right[v]] == perm[labels[ug.left[u]]]), ZERO)
+    return sum((e[2] for e in ug.edges if edge_satisfied(ug, e, labels)),
+               ZERO)
 
 
 def ug_brute_force(ug: UgInstance):

@@ -143,6 +143,25 @@ def test_dict_reduce_decode_round_trip(tmp_path, capsys):
     assert code2 == 0
     assert out2 == out
 
+    # x = (1, 1) gives one cube at tilt 1, a point mass; a negative
+    # degree bound is still bad input
+    x_file = tmp_path / "ones.json"
+    x_file.write_text(json.dumps({"x": {"u": "1/1", "v": "1/1"}}))
+    assert run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps", "1/2",
+               "--delta", "1/10", "--r", "2", "--solution", x_file, "-o",
+               dict_file)[0] == 0
+    game_file = FIXTURES / "ug_small.json"
+    assert run(capsys, "reduce", "--ug", game_file, "--dict", dict_file,
+               "-o", composed_file)[0] == 0
+    ids = [v["id"] for v in json.loads(composed_file.read_text())["vertices"]]
+    sel_file.write_text(json.dumps({"labels": {vid: 1 for vid in ids}}))
+    for extra in ([], ["--dict", dict_file]):
+        code, out, err = run(capsys, "decode", "--f", composed_file,
+                             "--solution", sel_file, "--ug", game_file,
+                             "--d", "-1", *extra)
+        assert (code, out) == (3, "")
+        assert err == "error: degree bound must be nonnegative\n"
+
 
 def test_decode_tau_is_rational(tmp_path, capsys):
     dict_file, game_file, composed_file, _ = _reduce_pipeline(tmp_path,

@@ -16,7 +16,7 @@ from smcsp.dictators import (bucket_constant_opt, bucket_map,
                              parse_dict_vertex_id, pseudo_random_check,
                              tilted_value)
 from smcsp.model import (assignment_cost, brute_force_opt, is_feasible,
-                         solution_from_assignments)
+                         make_instance, solution_from_assignments)
 from smcsp.randgen import (hvc, random_feasible_solution, random_instance,
                            random_subset_labels, ternary_chain, vc_edge)
 from smcsp.rounding import perturb, round_solution
@@ -244,3 +244,13 @@ def test_dict_view_recovers_structure():
 def test_dict_view_rejects_non_blowup_instances():
     with pytest.raises(ValueError):
         dict_view(hvc(3))
+    # an id that parses to the canonical (b, y) but is not spelled so
+    D = _vc_dict()[2].instance
+    ids = [vid.replace("b0:", "b+0:") for vid in D.vertex_ids]
+    inst = make_instance(D.q, D.weights, D.predicates, D.edges, ids)
+    with pytest.raises(ValueError, match="in canonical order"):
+        dict_view(inst)
+    # too few ids for the largest cube index, rejected before enumerating
+    inst = make_instance(2, [F(1, 2)] * 2, [], [], ["b0:y0", "b3:y0"])
+    with pytest.raises(ValueError, match="in canonical order"):
+        dict_view(inst)

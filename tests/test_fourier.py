@@ -46,7 +46,7 @@ def test_empty_set_coefficient_is_the_mean():
     for mask, v in enumerate(table):
         ones = bin(mask).count("1")
         mean += v * p ** ones * (1 - p) ** (r - ones)
-    assert exp.mean() == mean
+    assert exp.moments[0] == mean
 
 
 def test_influence_matches_restriction_oracle():

@@ -1,5 +1,6 @@
-"""Package hygiene: every module uses every name it imports, and every
-unexported top-level definition is used somewhere in the package."""
+"""Package hygiene: every module uses every name it imports, every
+unexported top-level definition is used somewhere in the package, and
+every member of a package class is read somewhere."""
 
 import ast
 from collections import Counter
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import smcsp
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smcsp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smcsp"
 
 
 def unused_imports(path: Path) -> list:
@@ -51,3 +53,42 @@ def test_every_unexported_definition_is_used():
               and node.name not in smcsp.__all__
               and everywhere[node.name] == _references(node)[node.name]]
     assert unused == []
+
+
+def _attribute_reads(node) -> Counter:
+    """How often each name is read as an attribute in node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_class_member_is_read():
+    """Each method, property and dataclass field of a package class is
+    read as an attribute in the package, ``perfbench/`` or ``demos/``,
+    outside its own body.
+
+    The check goes by name only, so it cannot catch an unread member
+    whose name another class reads, such as ``eps``, ``x`` or
+    ``bucket_values``.
+    """
+    readers = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               *(ROOT / "demos").glob("*.py")]
+    reads = sum((_attribute_reads(ast.parse(p.read_text(encoding="utf-8")))
+                 for p in readers), Counter())
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name, own = node.name, _attribute_reads(node)[node.name]
+                elif (isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    name, own = node.target.id, 0
+                else:
+                    continue
+                if not name.startswith("__") and reads[name] == own:
+                    unread.append(f"{path.name}:{cls.name}.{name}")
+    assert unread == []

@@ -29,7 +29,10 @@ def test_parse_rational_accepts_integers_and_strings():
 
 
 @pytest.mark.parametrize("bad", ["2/4", "1/0", "1/-2", "0.5", "x/y", "1/2/3",
-                                 True, 1.5, None])
+                                 True, 1.5, None,
+                                 # spellings that int() forgives
+                                 " 1/2", "1/2 ", "+1/2", "01/2", "1/02",
+                                 "-0/1", "\u0661/\u0662", "1_0/3"])
 def test_parse_rational_rejects_noncanonical(bad):
     with pytest.raises(io.ParseError):
         io.parse_rational(bad)
