@@ -24,8 +24,8 @@ F_inst = compose(game, D)
 print(f"composed: {len(F_inst.vertex_ids)} vertices, "
       f"{len(F_inst.edges)} constraints")
 
-selection, report = completeness_solution(game, planted, list(game.left),
-                                          D, F_inst, lp_value=F(1, 2))
+selection, report = completeness_solution(game, planted, D, F_inst,
+                                          lp_value=F(1, 2))
 print(f"\nplanted labeling -> selection of weight {report['weight']} "
       f"(= dictator weight {dictator_weight(D)})")
 print(f"bound from lp + eps + delta(q-1): {report['bound']}")

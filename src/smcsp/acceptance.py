@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from . import randgen
 from .dictators import (bucket_constant_opt, completeness_check,
-                        extract_TJ, generate_dict)
+                        cube_measure, extract_TJ, generate_dict)
 from .distributions import (cheeger_check, expected_margin,
                             extract_edge_distribution, margin, min_atom,
                             smooth)
 from .fourier import (biased_fourier, conditional_variance_influence,
-                      dictator_table, influence)
+                      dictator_table, influences)
 from .gaussian import check_gamma_inequalities, gamma, gamma_mc
 from .lp import lp_value, solve_lp, standard_hvc_lp, val
 from .model import (PropertyViolation, brute_force_opt, check_solution,
@@ -283,8 +283,7 @@ def criterion_10():
     details = (f"grid: {len(grid['violations'])}/{grid['checked']} "
                f"violations (first: {first}); identities: "
                f"{len(identity_bad)} bad; mc |{est:.6f}-{exact:.6f}| "
-               f"{'<=' if mc_ok else '>'} 3se={3 * se:.6f}; "
-               f"{elapsed:.1f}s")
+               f"{'<=' if mc_ok else '>'} 3se={3 * se:.6f}")
     return _report(10, "Gaussian stability bounds on the grid", ok, details)
 
 
@@ -331,8 +330,8 @@ def criterion_11():
                                     "satisfy its game")
         D = cubes[game.r]
         composed = compose(game, D)
-        _, rep = completeness_solution(game, labels, game.left, D,
-                                       composed, lp_value=lpv)
+        _, rep = completeness_solution(game, labels, D, composed,
+                                       lp_value=lpv)
         opt, _ = brute_force_opt(composed)
         good = rep["feasible"] and rep["bound_ok"] and opt <= rep["weight"]
         ok = ok and good
@@ -350,26 +349,25 @@ def criterion_12():
         table = [F(rng.randint(-4, 4), rng.randint(1, 5))
                  for _ in range(2 ** r)]
         exp = biased_fourier(table, p)
-        e_f2 = sum((w * t * t
-                    for w, t in zip(_measure_weights(r, p), table)), F(0))
+        e_f2 = sum((cube_measure(2, p, [mask >> i & 1 for i in range(r)])
+                    * t * t for mask, t in enumerate(table)), F(0))
         exact_ok = exp.parseval_sum() == e_f2
         ok = ok and exact_ok
         notes.append(f"r={r} exact Parseval {'ok' if exact_ok else 'BAD'}")
     for r in (2, 4, 6):
         p = F(rng.randint(1, 9), 10)
         for i in range(r):
-            exp = biased_fourier(dictator_table(r, i), p)
+            row = influences(dictator_table(r, i), p)
             for j in range(r):
                 want = p * (1 - p) if j == i else F(0)
-                if exp.influence(j) != want:
+                if row[j] != want:
                     ok = False
                     notes.append(f"dictator r={r} i={i} j={j} BAD")
     worst = 0.0
     for r in (3, 5, 6):
         table = [rng.random() for _ in range(2 ** r)]
         p = rng.uniform(0.1, 0.9)
-        for i in range(r):
-            a = influence(table, i, p)
+        for i, a in enumerate(influences(table, p)):
             b = conditional_variance_influence(table, i, p)
             worst = max(worst, abs(a - b))
     float_ok = worst <= 1e-9
@@ -377,15 +375,6 @@ def criterion_12():
     notes.append(f"dual-route max gap {worst:.2e}")
     return _report(12, "Fourier sanity: Parseval, dictators, dual routes",
                    ok, "; ".join(notes))
-
-
-def _measure_weights(r: int, p: Fraction):
-    """Product-measure weight of every mask, mask order."""
-    out = []
-    for mask in range(2 ** r):
-        ones = bin(mask).count("1")
-        out.append(p ** ones * (1 - p) ** (r - ones))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -29,11 +28,10 @@ from .dictators import (bucket_constant_opt, completeness_check, dict_view,
 from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
-from .model import (PropertyViolation, brute_force_opt, check_solution,
-                    make_instance)
+from .model import PropertyViolation, brute_force_opt, check_solution
 from .rounding import integrality_report, perturb, round_solution
-from .unique_games import (compose, composed_vertex_ids, decode_labeling,
-                           p_left, ug_satisfied_weight)
+from .unique_games import (compose, composed_cubes, decode_labeling,
+                           ug_satisfied_weight)
 
 ZERO = Fraction(0)
 
@@ -219,17 +217,8 @@ def cmd_decode(args) -> int:
     game = io.parse_ug(_read(args.ug))
     composed = _load_instance(args.f)
     selection = io.parse_assignment(_read(args.solution), composed)
-    if args.dict:
-        D = dict_view(_load_instance(args.dict))
-    else:
-        D = _view_from_composed(game, composed)
-    ids = composed_vertex_ids(game, D)
-    if composed.vertex_ids != ids:
-        i, found, want = next((i, a, b) for i, (a, b) in enumerate(
-            itertools.zip_longest(composed.vertex_ids, ids)) if a != b)
-        raise ValueError(f"{args.f} is not the game composed with these "
-                         f"hypercubes: vertex #{i} is {found!r}, expected "
-                         f"{want!r}")
+    D = dict_view(_load_instance(args.dict)) if args.dict else None
+    D = composed_cubes(game, composed, D)
     labels, table = decode_labeling(game, D, selection, tau=_tau(args),
                                     d=args.d)
     satisfied = ug_satisfied_weight(game, labels)
@@ -240,31 +229,6 @@ def cmd_decode(args) -> int:
     lines.append(f"satisfied weight: {_pretty(satisfied)}")
     _emit(args, doc, "\n".join(lines))
     return 0
-
-
-def _view_from_composed(game, composed):
-    """Recover the hypercube structure from a composed instance.
-
-    Vertex ids look like ``<left-id>/b<b>:y<bits>``; any left copy with
-    positive edge mass determines the cube weights after normalizing by
-    that mass.
-    """
-    if composed.q != 2:
-        raise ValueError("decoding requires a binary alphabet")
-    # a valid game's edge masses sum to 1, so some left vertex has mass
-    u = next(u for u in range(game.n_left) if p_left(game, u) > 0)
-    mass, uid = p_left(game, u), game.left[u]
-    prefix = uid + "/"
-    ids = []
-    weights = []
-    for vid, w in zip(composed.vertex_ids, composed.weights):
-        if vid.startswith(prefix):
-            ids.append(vid[len(prefix):])
-            weights.append(w / mass)
-    if not ids:
-        raise ValueError(f"cannot recover cube structure: no composed vertex "
-                         f"belongs to left vertex {uid!r} (pass --dict)")
-    return dict_view(make_instance(composed.q, weights, [], [], ids))
 
 
 def cmd_analyze_gamma(args) -> int:

@@ -23,6 +23,7 @@ The key identities, checked where cheap (a failure raises
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -79,17 +80,17 @@ def dict_vertex_id(b: int, y: Sequence[int]) -> str:
 
 def parse_dict_vertex_id(vid: str):
     """Inverse of dict_vertex_id; raises ValueError on foreign ids."""
-    head, sep, tail = vid.partition(":y")
-    if not sep or not head.startswith("b") or not tail:
+    match = re.fullmatch(r"b([0-9]+):y([0-9]+)", vid)
+    if match is None:
         raise ValueError(f"not a hypercube vertex id: {vid!r}")
-    return int(head[1:]), tuple(int(c) for c in tail)
+    return int(match[1]), tuple(int(c) for c in match[2])
 
 
 @dataclass(frozen=True)
 class DictInstance:
     instance: Instance
     r: int
-    delta: Fraction
+    delta: Fraction | None
     eps: Fraction | None
     tilde_values: tuple      # tilted value per cube, in bucket order
     bucket_weights: tuple    # total source weight per bucket
@@ -166,6 +167,14 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
                         bucket_of, val(inst, x), tuple(points))
 
 
+def require_generated(D: DictInstance) -> None:
+    """Raise ``ValueError`` unless D comes from ``generate_dict``: a
+    ``dict_view`` result has no generation parameters."""
+    if D.source_value is None:
+        raise ValueError("a hypercube view has no delta, eps or source "
+                         "value")
+
+
 def dictator_assignment(D: DictInstance, i: int) -> tuple:
     """The labeling (b, y) -> y_i."""
     if not 0 <= i < D.r:
@@ -183,6 +192,7 @@ def completeness_check(D: DictInstance, inst: Instance,
                        x: Sequence[Point]) -> dict:
     """Verify that every coordinate labeling is feasible and has the
     predicted exact cost; returns the per-coordinate report."""
+    require_generated(D)
     value = D.source_value
     recomputed = val(inst, x)
     if recomputed != value:
@@ -262,6 +272,7 @@ def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
     fails.
     """
     _require_boolean(D)
+    require_generated(D)
     delta = D.delta
     cube = 2 ** D.r
     J = []

@@ -49,20 +49,16 @@ class BiasedFourierExpansion:
     def parseval_sum(self):
         return sum(self.coefficient_sq(m) for m in range(1 << self.r))
 
-    def influence(self, i: int):
-        return self.degree_d_influence(i, self.r)
-
-    def degree_d_influence(self, i: int, d: int):
-        self._check_coord(i)
+    def influences(self, d: int) -> list:
+        """Degree-d influence of every coordinate i: the sum, in mask
+        order, of the squared coefficients of the masks of at most d
+        coordinates that contain i."""
         if d < 0:
             raise ValueError("degree bound must be nonnegative")
-        bit = 1 << i
-        return sum(self.coefficient_sq(m) for m in range(1 << self.r)
-                   if m & bit and m.bit_count() <= d)
-
-    def _check_coord(self, i: int) -> None:
-        if not 0 <= i < self.r:
-            raise ValueError(f"coordinate {i} out of range for r={self.r}")
+        low = [(m, self.coefficient_sq(m)) for m in range(1 << self.r)
+               if m.bit_count() <= d]
+        return [sum(sq for m, sq in low if m >> i & 1)
+                for i in range(self.r)]
 
 
 def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
@@ -105,16 +101,16 @@ def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
 
 def influence(table: Sequence, i: int, p, *, d: int | None = None):
     """Inf_i of the table's function; degree-d truncation when d given."""
-    expansion = biased_fourier(table, p)
-    return expansion.degree_d_influence(i, expansion.r if d is None else d)
+    row = influences(table, p, d=d)
+    if not 0 <= i < len(row):
+        raise ValueError(f"coordinate {i} out of range for r={len(row)}")
+    return row[i]
 
 
 def influences(table: Sequence, p, *, d: int | None = None) -> list:
     """Inf_i for every coordinate i; degree-d truncation when d given."""
     expansion = biased_fourier(table, p)
-    if d is None:
-        d = expansion.r
-    return [expansion.degree_d_influence(i, d) for i in range(expansion.r)]
+    return expansion.influences(expansion.r if d is None else d)
 
 
 def conditional_variance_influence(table: Sequence, i: int, p):

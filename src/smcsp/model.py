@@ -134,13 +134,8 @@ def covering_predicate(arity: int) -> Predicate:
 
 
 def is_covering_predicate(pred: Predicate) -> bool:
-    if pred.q != 2:
-        return False
-    expected = {
-        tuple(1 if j == i else 0 for j in range(pred.arity))
-        for i in range(pred.arity)
-    }
-    return set(pred.minimal) == expected
+    return pred.q == 2 and (set(pred.minimal)
+                            == set(covering_predicate(pred.arity).minimal))
 
 
 # ---------------------------------------------------------------------------

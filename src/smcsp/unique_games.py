@@ -13,7 +13,9 @@ labeling of the composed instance back through each edge's bijection,
 averages the copies at a right vertex into one cube function per
 hypercube, and labels each side by the most influential coordinate.
 Both read the one composed layout: ``composed_vertex_ids`` names the
-vertices and ``_twist_tables`` wires copy u through pi.
+vertices, ``composed_weights`` weighs them and ``_twist_tables`` wires
+copy u through pi; ``composed_cubes`` reads a composed instance back
+against it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .caps import check_bits
 from .dictators import (DictInstance, cube_complement_table, cube_influences,
-                        dictator_weight)
+                        dict_view, dictator_assignment, dictator_weight,
+                        require_generated)
 from .model import (Instance, PropertyViolation, assignment_cost,
                     is_feasible, make_instance)
 
@@ -133,6 +136,48 @@ def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
                   for dvid in D.instance.vertex_ids])
 
 
+def composed_weights(ug: UgInstance, D: DictInstance) -> list:
+    """Vertex weights of ``compose(ug, D)``: vertex (u, b, y) weighs
+    p_u * w_D(b, y), where p_u is the edge mass at u."""
+    masses = [p_left(ug, u) for u in range(ug.n_left)]
+    return [masses[u] * w for u in range(ug.n_left)
+            for w in D.instance.weights]
+
+
+def composed_cubes(ug: UgInstance, F: Instance,
+                   D: DictInstance | None = None) -> DictInstance:
+    """The hypercubes that ``F`` composes ``ug`` with.
+
+    Without ``D`` they are recovered from the first left copy with edge
+    mass: its ids past ``<left-id>/`` and its weights over that mass.
+    Raises ``ValueError`` unless F's vertex ids and weights are those of
+    ``compose(ug, D)``.
+    """
+    if D is None:
+        # a valid game's edge masses sum to 1, so some left vertex has mass
+        u = next(u for u in range(ug.n_left) if p_left(ug, u) > 0)
+        mass, prefix = p_left(ug, u), ug.left[u] + "/"
+        copy = [(vid[len(prefix):], w / mass)
+                for vid, w in zip(F.vertex_ids, F.weights)
+                if vid.startswith(prefix)]
+        if not copy:
+            raise ValueError(f"cannot recover cube structure: no composed "
+                             f"vertex belongs to left vertex {ug.left[u]!r} "
+                             f"(pass --dict)")
+        ids, weights = zip(*copy)
+        D = dict_view(make_instance(F.q, weights, [], [], ids))
+    for what, show, found, want in (
+            ("is", repr, F.vertex_ids, composed_vertex_ids(ug, D)),
+            ("weighs", str, F.weights, composed_weights(ug, D))):
+        if list(found) != list(want):
+            i, a, b = next((i, a, b) for i, (a, b) in enumerate(
+                itertools.zip_longest(found, want)) if a != b)
+            raise ValueError(f"the composed instance is not the game "
+                             f"composed with these hypercubes: vertex #{i} "
+                             f"{what} {show(a)}, expected {show(b)}")
+    return D
+
+
 def _twist_tables(ug: UgInstance, D: DictInstance) -> dict:
     """Copy u wired through pi, for each distinct (u, pi) of the edges.
 
@@ -173,8 +218,6 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
                          for edge in base.edges for combos in incident),
                "composed constraint tuples")
 
-    masses = [p_left(ug, u) for u in range(ug.n_left)]
-    weights = [masses[u] * w for u in range(ug.n_left) for w in base.weights]
     edge_set = set()
     for edge in base.edges:
         dvs, pred = edge.vertices, edge.predicate
@@ -183,19 +226,19 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
                 edge_set.add((tuple([t[dv] for t, dv in zip(combo, dvs)]),
                               pred))
     edges = sorted(edge_set)
-    return make_instance(base.q, weights, base.predicates, edges,
-                         composed_vertex_ids(ug, D))
+    return make_instance(base.q, composed_weights(ug, D), base.predicates,
+                         edges, composed_vertex_ids(ug, D))
 
 
 def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
-                          satisfied_left: Iterable[str], D: DictInstance,
-                          F: Instance | None = None, *,
+                          D: DictInstance, F: Instance | None = None, *,
                           lp_value: Fraction | None = None):
     """Cheap feasible point of the composed instance from a game labeling.
 
-    On copies of left vertices whose every edge the labeling satisfies,
-    assign coordinate ``labels[u]``; elsewhere assign the top label.
-    The resulting cost obeys the exact identity
+    A left vertex is satisfied when the labeling satisfies its every
+    positive-mass edge.  Its copy takes the dictator of coordinate
+    ``labels[u]``; every other copy takes the top label.  The resulting
+    cost obeys the exact identity
 
         dictator_weight(D) * mass(satisfied) + (q-1) * mass(rest)
 
@@ -206,32 +249,23 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
     """
     if F is None:
         F = compose(ug, D)
-    sat = set(satisfied_left)
-    unknown = sat - set(ug.left)
-    if unknown:
-        raise ValueError(f"not left vertex ids: {sorted(unknown)}")
-    for u, v, wt, perm in ug.edges:
-        if ug.left[u] in sat and wt > 0 and not edge_satisfied(
-                ug, (u, v, wt, perm), labels):
-            raise ValueError(
-                f"labeling misses edge ({ug.left[u]}, {ug.right[v]}) "
-                "incident to a claimed-satisfied vertex")
+    missed = {e[0] for e in ug.edges
+              if e[2] > 0 and not edge_satisfied(ug, e, labels)}
     q = D.q
     cube = len(D.points)
     assignment = []
     for u, uid in enumerate(ug.left):
-        if uid in sat:
-            coord = labels[uid]
-            assignment.extend(y[coord] for _, y in D.points)
-        else:
+        if u in missed:
             assignment.extend([q - 1] * cube)
+        else:
+            assignment.extend(dictator_assignment(D, labels[uid]))
     assignment = tuple(assignment)
     if not is_feasible(F, assignment):
         raise PropertyViolation("completeness assignment violates a "
                                 "constraint")
     weight = assignment_cost(F, assignment)
-    mass_sat = sum((p_left(ug, u) for u, uid in enumerate(ug.left)
-                    if uid in sat), ZERO)
+    mass_sat = sum((p_left(ug, u) for u in range(ug.n_left)
+                    if u not in missed), ZERO)
     mass_rest = 1 - mass_sat
     dw = dictator_weight(D)
     identity = dw * mass_sat + (q - 1) * mass_rest
@@ -242,8 +276,7 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
               "mass_satisfied": mass_sat, "mass_rest": mass_rest,
               "feasible": True}
     if lp_value is not None:
-        if D.eps is None:
-            raise ValueError("bound check needs the generation grid step")
+        require_generated(D)
         bound = ((lp_value + D.eps + (q - 1) * D.delta) * mass_sat
                  + (q - 1) * mass_rest)
         if weight > bound:

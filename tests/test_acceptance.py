@@ -34,3 +34,18 @@ def test_render_counts_passes():
     text = acceptance.render(reports)
     assert "[PASS]" in text and "[FAIL]" in text
     assert text.rstrip().endswith("1/2 criteria passed")
+
+
+def test_criterion_10_details_leave_the_time_to_seconds(monkeypatch):
+    # a stub grid and Monte Carlo run keep this fast; the identities and
+    # the exact gamma still run
+    monkeypatch.setattr(acceptance, "check_gamma_inequalities",
+                        lambda tol: {"ok": True, "violations": [],
+                                     "checked": 81})
+    monkeypatch.setattr(acceptance, "gamma_mc",
+                        lambda *args, **kwargs: (1 / 6, 1e-4))
+    report, = acceptance.run([10])
+    assert report["passed"]
+    assert report["details"] == (
+        "grid: 0/81 violations (first: None); identities: 0 bad; "
+        "mc |0.166667-0.166667| <= 3se=0.000300")

@@ -120,8 +120,7 @@ def _reduce_pipeline(tmp_path, capsys):
     D = dict_view(io.parse_instance(dict_file.read_text()))
     Finst = io.parse_instance(composed_file.read_text())
     planted = {"L0": 0, "L1": 1, "R0": 0}
-    selection, _ = completeness_solution(ug, planted, ["L0", "L1"], D,
-                                         Finst)
+    selection, _ = completeness_solution(ug, planted, D, Finst)
     sel_file = tmp_path / "sel.json"
     sel_file.write_text(io.serialize_assignment(Finst, selection))
     return dict_file, game_file, composed_file, sel_file
@@ -171,7 +170,7 @@ def test_decode_tau_is_rational(tmp_path, capsys):
     Finst = io.parse_instance(composed_file.read_text())
     # planting R0 = 1 puts the only influence (about 0.09) on coordinate 1
     selection, _ = completeness_solution(game, {"L0": 1, "L1": 0, "R0": 1},
-                                         ["L0", "L1"], D, Finst)
+                                         D, Finst)
     sel_file = tmp_path / "sel1.json"
     sel_file.write_text(io.serialize_assignment(Finst, selection))
     base = ["decode", "--f", composed_file, "--solution", sel_file,
@@ -191,11 +190,17 @@ def test_decode_tau_is_rational(tmp_path, capsys):
 
 
 def _decode_error(tmp_path, capsys, game=None, r_dict=None,
-                  with_dict=True):
+                  with_dict=True, swap_weights=False):
     """Exit 3 and the message of a decode of the pipeline's composed file
-    with another game and/or a ``--dict`` built with another r."""
+    with another game and/or a ``--dict`` built with another r, or of that
+    file with the weights of its first and fourth vertex swapped."""
     dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
         tmp_path, capsys)
+    if swap_weights:
+        doc = json.loads(composed_file.read_text())
+        first, fourth = doc["vertices"][0], doc["vertices"][3]
+        first["weight"], fourth["weight"] = fourth["weight"], first["weight"]
+        composed_file.write_text(json.dumps(doc))
     if game is not None:
         game_file = tmp_path / "other.json"
         game_file.write_text(io.serialize_ug(game))
@@ -222,6 +227,18 @@ def test_decode_rejects_a_game_with_other_left_ids(tmp_path, capsys,
         assert "vertex #0 is 'L0/b0:y00', expected 'zz/b0:y00'" in err
     else:
         assert "no composed vertex belongs to left vertex 'zz'" in err
+
+
+@pytest.mark.parametrize("with_dict, message", [
+    (True, "vertex #0 weighs 1/400, expected 81/400"),
+    # without --dict the cubes come from L0's swapped copy, so L1's differs
+    (False, "vertex #8 weighs 81/400, expected 1/400")])
+def test_decode_rejects_swapped_weights(tmp_path, capsys, with_dict,
+                                        message):
+    err = _decode_error(tmp_path, capsys, with_dict=with_dict,
+                        swap_weights=True)
+    assert ("error: the composed instance is not the game composed with "
+            "these hypercubes: " + message) in err
 
 
 def test_decode_rejects_a_dict_with_other_r(tmp_path, capsys):

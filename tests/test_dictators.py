@@ -1,6 +1,7 @@
 """Hypercube blowup: generation, dictator costs, cube-level checks."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from smcsp.model import (assignment_cost, brute_force_opt, is_feasible,
 from smcsp.randgen import (hvc, random_feasible_solution, random_instance,
                            random_subset_labels, ternary_chain, vc_edge)
 from smcsp.rounding import perturb, round_solution
+from smcsp.unique_games import UgInstance, completeness_solution
 
 
 def _vc_dict(r=2, delta=F(1, 10), eps=F(1, 2)):
@@ -241,15 +243,35 @@ def test_dict_view_recovers_structure():
     assert view.instance == D.instance
 
 
+def test_views_have_no_generation_parameters():
+    inst, x, D = _vc_dict(r=2)
+    view = dict_view(D.instance)
+    game = UgInstance(2, ("L",), ("R",), ((0, 0, F(1), (0, 1)),))
+    no_params = "a hypercube view has no delta, eps or source value"
+    with pytest.raises(ValueError, match=no_params):
+        extract_TJ(view, dictator_assignment(view, 0))
+    with pytest.raises(ValueError, match=no_params):
+        completeness_check(view, inst, x)
+    with pytest.raises(ValueError, match=no_params):
+        completeness_solution(game, {"L": 0, "R": 0}, view, lp_value=F(1, 2))
+
+
 def test_dict_view_rejects_non_blowup_instances():
     with pytest.raises(ValueError):
         dict_view(hvc(3))
     # an id that parses to the canonical (b, y) but is not spelled so
     D = _vc_dict()[2].instance
-    ids = [vid.replace("b0:", "b+0:") for vid in D.vertex_ids]
+    ids = [vid.replace("b0:", "b00:") for vid in D.vertex_ids]
     inst = make_instance(D.q, D.weights, D.predicates, D.edges, ids)
     with pytest.raises(ValueError, match="in canonical order"):
         dict_view(inst)
+    # a cube or label part that is not plain digits
+    for bad in ("b+0:y00", "b0:y+0"):
+        inst = make_instance(D.q, D.weights, D.predicates, D.edges,
+                             (bad,) + D.vertex_ids[1:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"not a hypercube vertex id: {bad!r}")):
+            dict_view(inst)
     # too few ids for the largest cube index, rejected before enumerating
     inst = make_instance(2, [F(1, 2)] * 2, [], [], ["b0:y0", "b3:y0"])
     with pytest.raises(ValueError, match="in canonical order"):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from smcsp.distributions import (cheeger_check, expected_margin,
@@ -84,6 +86,28 @@ def test_smoothed_min_atom_bound():
         sm = smooth(dist, delta)
         alpha = min_atom(dist)
         assert min_atom(sm) >= delta ** sm.arity * alpha
+
+
+@st.composite
+def solved_instances(draw):
+    """A random instance with q in {2, 3} and a hull-feasible solution."""
+    q = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    inst = random_instance(rng, q, draw(st.integers(2, 5)),
+                           draw(st.integers(1, 3)))
+    return inst, random_feasible_solution(rng, inst)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(solved_instances(), st.sampled_from([F(1, 10), F(1, 3)]))
+def test_smoothed_margins_and_min_atom(solved, delta):
+    inst, x = solved
+    for e, edge in enumerate(inst.edges):
+        dist = _dist(inst, x, e)
+        sm = smooth(dist, delta)
+        for i, v in enumerate(edge.vertices):
+            assert margin(sm, i) == expected_margin(inst.q, x[v], delta)
+        assert min_atom(sm) >= delta ** len(edge.vertices) * min_atom(dist)
 
 
 def test_smooth_keeps_support_accepted():

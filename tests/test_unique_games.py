@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from smcsp import io
 from smcsp.caps import CapExceeded
-from smcsp.dictators import dict_view, dictator_weight, generate_dict
+from smcsp.dictators import (dict_view, dictator_assignment, dictator_weight,
+                             generate_dict)
 from smcsp.model import brute_force_opt, solution_from_assignments
 from smcsp.randgen import (random_game, ternary_chain, triangle_cover,
                            twisted_cycle, vc_edge)
@@ -182,22 +183,26 @@ def test_completeness_identity_full_and_partial():
     labels = {"L0": 0, "L1": 1, "R0": 0}
     dw = dictator_weight(D)
 
-    _, full = completeness_solution(ug, labels, ["L0", "L1"], D, Finst,
-                                    lp_value=F(1, 2))
+    _, full = completeness_solution(ug, labels, D, Finst, lp_value=F(1, 2))
     assert full["weight"] == dw
     assert full["mass_satisfied"] == 1
     assert full["weight"] <= full["bound"]
 
-    _, part = completeness_solution(ug, labels, ["L0"], D, Finst)
+    # L1's edge maps label 0 to 1, so R0 = 0 misses it
+    _, part = completeness_solution(ug, {"L0": 0, "L1": 0, "R0": 0}, D,
+                                    Finst)
     assert part["weight"] == dw * F(1, 2) + F(1, 2)
 
 
-def test_completeness_rejects_false_claims():
+def test_completeness_tops_the_copies_of_unsatisfied_vertices():
     ug = _twisted_pair()
     D = _vc_dict(r=2)
-    with pytest.raises(ValueError, match="misses"):
-        completeness_solution(ug, {"L0": 0, "L1": 0, "R0": 0},
-                              ["L0", "L1"], D)
+    selection, rep = completeness_solution(ug, {"L0": 0, "L1": 0, "R0": 0},
+                                           D)
+    cube = len(D.points)
+    assert selection[:cube] == dictator_assignment(D, 0)
+    assert selection[cube:] == (1,) * cube
+    assert rep["mass_satisfied"] == rep["mass_rest"] == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +218,7 @@ def test_decode_recovers_planted_labeling():
                                   extra_edges=rng.randint(0, 1))
         D = _vc_dict(r=r)
         Finst = compose(ug, D)
-        selection, _ = completeness_solution(ug, planted, list(ug.left), D,
-                                             Finst)
+        selection, _ = completeness_solution(ug, planted, D, Finst)
         labels, table = decode_labeling(ug, D, selection)
         assert labels == planted
         assert ug_satisfied_weight(ug, labels) == 1
