@@ -1,24 +1,24 @@
 """Resource caps for the exhaustive-search surfaces.
 
-Every enumeration in this package (accepting-set expansion, brute-force
-oracles, bucket rounding, long-code tuple expansion, Fourier tables) is
-bounded by an explicit cap so that a malformed or oversized input fails
-fast instead of hanging.  Each cap can be overridden through an
-environment variable ``SMCSP_CAP_<NAME>``; values are interpreted the
-same way as the defaults below (most are log2 budgets).
+Every enumeration in this package (accepting-set expansion, the one
+exact labeling search behind the oracle, bucket rounding and the
+cube-constant optimum, long-code tuple expansion, Fourier tables, game
+brute force) is bounded by an explicit cap so that a malformed or
+oversized input fails fast instead of hanging.  Every cap is a log2 budget: an enumeration of ``count`` items
+is allowed when ``count <= 2**cap``.  Each cap can be overridden through
+an environment variable ``SMCSP_CAP_<NAME>``.
 """
 
 from __future__ import annotations
 
 import os
 
-# name -> (env suffix, default, meaning)
+# name -> default log2 budget
 _DEFAULTS = {
-    "EXPAND": 4096,  # max size q**k of a materialized accepting set
-    "ENUM": 24,      # brute-force assignment budget: q**n <= 2**ENUM
-    "ROUND": 24,     # bucket rounding budget: q**m <= 2**ROUND
+    "EXPAND": 12,    # materialized accepting set: q**k <= 2**EXPAND
+    "ENUM": 24,      # exact labeling search: q**n <= 2**ENUM
     "DICT": 20,      # per-edge tuple budget: |support|**r <= 2**DICT
-    "FOURIER": 20,   # max cube dimension r for Fourier tables
+    "FOURIER": 20,   # Fourier table length: 2**r <= 2**FOURIER
     "UG": 20,        # unique-games brute force: r**|U| <= 2**UG
 }
 
@@ -42,15 +42,8 @@ def cap(name: str) -> int:
     return value
 
 
-def check_count(name: str, count: int, what: str) -> None:
-    """Raise CapExceeded if ``count`` exceeds the plain-count cap ``name``."""
-    limit = cap(name)
-    if count > limit:
-        raise CapExceeded(f"{what}: {count} exceeds cap {limit} (SMCSP_CAP_{name})")
-
-
 def check_bits(name: str, count: int, what: str) -> None:
-    """Raise CapExceeded if ``count`` exceeds 2**cap for a log2 budget."""
+    """Raise CapExceeded if ``count`` exceeds ``2**cap(name)``."""
     limit = cap(name)
     if count > (1 << limit):
         raise CapExceeded(

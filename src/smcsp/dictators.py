@@ -306,12 +306,10 @@ def bucket_constant_opt(D: DictInstance):
 
     Solves ``D.instance`` collapsed to one vertex per hypercube, so it
     needs no source instance and works on ``dict_view`` results too;
-    returns (value, per-bucket labels) in D's bucket order.
+    returns (value, per-bucket labels) in D's bucket order.  The
+    ``q**m`` labelings are bounded by the ENUM cap.
     """
-    check_bits("ROUND", D.q ** D.m, "hypercube-constant labelings")
-    cubes = collapse(D.instance, [b for b, _ in D.points],
-                     [f"b{b}" for b in range(D.m)])
-    return cheapest_labeling(cubes)
+    return cheapest_labeling(collapse(D.instance, [b for b, _ in D.points]))
 
 
 def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import check_count
+from .caps import CapExceeded, check_bits
 
 EXACT_MAX_R = 16
 
@@ -65,17 +65,20 @@ def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
     """Expand a value table of length 2^r against the p-biased basis.
 
     The expansion is exact (Fractions) when p and every table entry are
-    rational, and in floats otherwise.
+    rational, and in floats otherwise.  The table length is bounded by
+    the FOURIER cap, and rational mode by ``r <= EXACT_MAX_R``; both
+    raise ``CapExceeded``.
     """
     size = len(table)
     if size == 0 or size & (size - 1):
         raise ValueError(f"table length {size} is not a power of two")
     r = size.bit_length() - 1
-    check_count("FOURIER", r, "cube dimension")
+    check_bits("FOURIER", size, "Fourier table length")
     exact = _is_rational(p) and all(_is_rational(v) for v in table)
     if exact:
         if r > EXACT_MAX_R:
-            raise ValueError(f"rational mode supports r <= {EXACT_MAX_R}")
+            raise CapExceeded(f"rational mode supports r <= {EXACT_MAX_R}, "
+                              f"got r = {r}")
         p = Fraction(p)
         work = [Fraction(v) for v in table]
     else:

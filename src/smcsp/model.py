@@ -14,11 +14,12 @@ this module convert between the two views.
 
 Every exhaustive minimization in the package goes through one exact
 search, ``cheapest_labeling``: the cheapest feasible labeling,
-lexicographically least on ties.  ``brute_force_opt`` runs it on the
-instance itself.  Bucket rounding and the hypercube-constant optimum
-run it on a quotient built by ``collapse``, which merges each group of
-vertices into one, so labelings of the quotient are exactly the
-labelings constant on the groups.
+lexicographically least on ties.  It checks its own ``q**n`` budget
+against the ENUM cap.  ``brute_force_opt`` runs it on the instance
+itself.  Bucket rounding and the hypercube-constant optimum run it on a
+quotient built by ``collapse``, which merges each group of vertices
+into one, so labelings of the quotient are exactly the labelings
+constant on the groups.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .caps import check_bits, check_count
+from .caps import check_bits
 
 Point = Union[Fraction, tuple]  # scalar for q == 2, length-q tuple for q > 2
 
@@ -115,7 +116,7 @@ def upward_closure(pred: Predicate) -> tuple:
     hit = _CLOSURE_CACHE.get(key)
     if hit is not None:
         return hit
-    check_count("EXPAND", pred.q ** pred.arity, f"accepting set of {pred.name}")
+    check_bits("EXPAND", pred.q ** pred.arity, f"accepting set of {pred.name}")
     accepted = tuple(
         t
         for t in itertools.product(range(pred.q), repeat=pred.arity)
@@ -270,21 +271,22 @@ def is_feasible(inst: Instance, labels: Sequence[int]) -> bool:
     return violated_edge(inst, labels) is None
 
 
-def collapse(inst: Instance, part_of: Sequence[int], ids: Sequence) -> Instance:
+def collapse(inst: Instance, part_of: Sequence[int]) -> Instance:
     """Quotient of ``inst`` that merges each part into one vertex.
 
-    Vertex ``v`` goes to part ``part_of[v]``, which is named ``ids[p]``
-    and weighs the sum of its members.  Edges become their images under
-    the map, sorted, with duplicates dropped.  Labelings of the quotient
-    are the labelings of ``inst`` that are constant on every part, at
-    the same cost and with the same feasibility.
+    Vertex ``v`` goes to part ``part_of[v]``; parts are numbered
+    ``0..max(part_of)``, and part ``p`` becomes vertex ``v<p>``, which
+    weighs the sum of its members.  Edges become their images under the
+    map, sorted, with duplicates dropped.  Labelings of the quotient are
+    the labelings of ``inst`` that are constant on every part, at the
+    same cost and with the same feasibility.
     """
-    weights = [ZERO] * len(ids)
+    weights = [ZERO] * (max(part_of) + 1)
     for w, p in zip(inst.weights, part_of):
         weights[p] += w
     edges = sorted({(tuple(part_of[v] for v in e.vertices), e.predicate)
                     for e in inst.edges})
-    return make_instance(inst.q, weights, inst.predicates, edges, ids)
+    return make_instance(inst.q, weights, inst.predicates, edges)
 
 
 # one vectorized pass covers at most this many labelings
@@ -302,9 +304,10 @@ def cheapest_labeling(inst: Instance):
     denominators, held as int64 when ``(q-1) * lcm < 2**62`` and as
     Python ints otherwise.  The first argmin within a block and a strict
     ``<`` across blocks keep the lexicographically least optimum.  The
-    search is not capped here; every caller checks its own budget first.
+    ``q**n`` labelings are bounded by the ENUM cap (log2 budget).
     """
     n, q = inst.n, inst.q
+    check_bits("ENUM", q ** n, "labeling search space")
     scale = math.lcm(*(w.denominator for w in inst.weights))
     int_w = [w.numerator * (scale // w.denominator) for w in inst.weights]
     dtype = np.int64 if (q - 1) * scale < 1 << 62 else object
@@ -360,10 +363,8 @@ def cheapest_labeling(inst: Instance):
 def brute_force_opt(inst: Instance):
     """Exhaustive optimum: returns ``(opt value, optimal assignment)``.
 
-    Ties are broken by the lexicographically smallest assignment.  The
-    search space ``q**n`` is bounded by the ENUM cap (log2 budget).
+    Ties are broken by the lexicographically smallest assignment.
     """
-    check_bits("ENUM", inst.q ** inst.n, "brute-force assignment space")
     return cheapest_labeling(inst)
 
 

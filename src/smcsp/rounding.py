@@ -15,9 +15,10 @@ objective increases by at most ``eps`` for ``q == 2`` and at most
 ``round_solution`` then groups vertices into buckets by their snapped
 value and returns the cheapest feasible assignment that is constant on
 each bucket.  It collapses every bucket to one vertex (the instance
-``bucketed_instance`` returns), solves that instance with the exact
-search ``model.cheapest_labeling``, and lifts the bucket labels back to
-the vertices.
+``bucketed_instance`` returns, with bucket ``b`` named ``v<b>``), solves
+that instance with the exact search ``model.cheapest_labeling``, which
+bounds its ``q**m`` labelings by the ENUM cap, and lifts the bucket
+labels back to the vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import check_bits
 from .lp import check_feasible_fractional, solve_lp, val
 from .model import (
     Instance,
@@ -144,14 +144,12 @@ def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
     """Cheapest feasible assignment that is constant on snapped buckets.
 
     Solves the bucket-collapsed instance exactly (``q**m`` candidates,
-    bounded by the ROUND cap) and lifts the optimum back to the
+    bounded by the ENUM cap) and lifts the optimum back to the
     vertices; ties go to the lexicographically least labeling in bucket
     order.
     """
     pert = perturb(inst, x, eps)
-    m = len(pert.bucket_values)
-    check_bits("ROUND", inst.q ** m, "bucket labeling space")
-    value, z = cheapest_labeling(_collapse_buckets(inst, pert))
+    value, z = cheapest_labeling(collapse(inst, pert.bucket_of))
     labels = tuple(z[b] for b in pert.bucket_of)
     return RoundResult(value, labels, pert.bucket_values)
 
@@ -159,24 +157,14 @@ def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
 def bucketed_instance(inst: Instance, x: Sequence[Point], eps):
     """Collapse vertices with equal snapped value into one vertex.
 
-    Returns ``(collapsed instance, bucket_of)``.  Bucket weights add up
-    the member weights; edges are the set images of the original edges
+    Returns ``(collapsed instance, bucket_of)``.  Bucket ``b`` becomes
+    vertex ``v<b>``, numbered in ascending snapped value, and weighs the
+    sum of its members; edges are the set images of the original edges
     (duplicates collapse).  The optimum of the collapsed instance equals
     ``round_solution(inst, x, eps).value`` exactly.
     """
     pert = perturb(inst, x, eps)
-    return _collapse_buckets(inst, pert), pert.bucket_of
-
-
-def _collapse_buckets(inst: Instance, pert: PerturbedSolution) -> Instance:
-    ids = [_bucket_id(inst.q, v) for v in pert.bucket_values]
-    return collapse(inst, pert.bucket_of, ids)
-
-
-def _bucket_id(q: int, value: Point) -> str:
-    if q == 2:
-        return f"{value.numerator}/{value.denominator}"
-    return "(" + ",".join(f"{a.numerator}/{a.denominator}" for a in value) + ")"
+    return collapse(inst, pert.bucket_of), pert.bucket_of
 
 
 def integrality_report(inst: Instance, eps,

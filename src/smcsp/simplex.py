@@ -51,15 +51,12 @@ class SimplexResult:
 
 
 def _int_row(vals):
-    """Integers ``N`` and a denominator ``D > 0`` with ``N / D == vals``."""
-    try:  # int and Fraction entries, without building new objects
-        pairs = [v.as_integer_ratio() for v in vals]
-    except AttributeError:
-        pairs = [Fraction(v).as_integer_ratio() for v in vals]
-    d = lcm(*[q for _, q in pairs])
+    """Integers ``N`` and a denominator ``D > 0`` with ``N / D == vals``
+    (``int`` or ``Fraction`` entries)."""
+    d = lcm(*[v.denominator for v in vals])
     if d == 1:
-        return [p for p, _ in pairs], 1
-    return [p * (d // q) for p, q in pairs], d
+        return [v.numerator for v in vals], 1
+    return [v.numerator * (d // v.denominator) for v in vals], d
 
 
 def _reduce(row, d):

@@ -94,13 +94,18 @@ def edge_satisfied(ug: UgInstance, edge, labels: Mapping[str, int]) -> bool:
     return labels[ug.right[v]] == perm[labels[ug.left[u]]]
 
 
-def ug_satisfied_weight(ug: UgInstance, labels: Mapping[str, int]) -> Fraction:
-    """Total weight of edges whose bijection maps left label to right."""
+def check_game_labeling(ug: UgInstance, labels: Mapping[str, int]) -> None:
+    """Raise ValueError unless every vertex has a label in 0..r-1."""
     for vid in itertools.chain(ug.left, ug.right):
         a = labels.get(vid)
         if not isinstance(a, int) or not 0 <= a < ug.r:
             raise ValueError(f"vertex {vid!r}: label must be in "
                              f"0..{ug.r - 1}, got {a!r}")
+
+
+def ug_satisfied_weight(ug: UgInstance, labels: Mapping[str, int]) -> Fraction:
+    """Total weight of edges whose bijection maps left label to right."""
+    check_game_labeling(ug, labels)
     return sum((e[2] for e in ug.edges if edge_satisfied(ug, e, labels)),
                ZERO)
 
@@ -245,8 +250,10 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
     and, when the generating relaxation value is supplied, the bound
     (lp + eps + (q-1) * delta) * mass(satisfied) + (q-1) * mass(rest).
     Both are checked, raising ``PropertyViolation`` when they fail.
-    Returns (assignment, report).
+    A labeling that misses a vertex or leaves 0..r-1 raises
+    ``ValueError``.  Returns (assignment, report).
     """
+    check_game_labeling(ug, labels)
     if F is None:
         F = compose(ug, D)
     missed = {e[0] for e in ug.edges

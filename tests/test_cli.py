@@ -422,6 +422,20 @@ def test_cap_is_exit_4(tmp_path, capsys, monkeypatch):
     assert "SMCSP_CAP_DICT" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle",),
+    ("round", "--eps", "1/3"),
+    ("dict-check", "--eps", "1/2", "--delta", "1/10", "--r", "2"),
+])
+def test_enum_cap_bounds_every_labeling_search(capsys, monkeypatch, argv):
+    # the oracle, bucket rounding and the cube-constant optimum share
+    # one search and one budget
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "1")
+    code, _, err = run(capsys, argv[0], hvc3(), *argv[1:])
+    assert code == 4
+    assert "SMCSP_CAP_ENUM" in err
+
+
 def test_check_subcommand_single_criterion(capsys):
     code, out, _ = run(capsys, "check", "1")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from smcsp.caps import CapExceeded
 from smcsp.fourier import (biased_fourier, conditional_variance_influence,
                            dictator_table, influence, influences, mask_of)
 
@@ -127,6 +128,11 @@ def test_bias_must_be_a_probability():
         biased_fourier([F(0), F(1)], F(0))
     with pytest.raises(ValueError):
         biased_fourier([F(0), F(1)], F(3, 2))
+
+
+def test_rational_mode_limit_is_a_cap():
+    with pytest.raises(CapExceeded, match="r <= 16"):
+        influences([0] * 2**17, F(1, 3))
 
 
 def test_table_length_must_be_power_of_two():

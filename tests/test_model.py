@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from smcsp import model
 from smcsp.caps import CapExceeded
+from smcsp.fourier import biased_fourier
 from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
                          cheapest_labeling,
                          covering_predicate, is_covering_predicate,
@@ -218,6 +219,20 @@ def test_brute_force_respects_cap(monkeypatch):
     inst = hvc(3)
     with pytest.raises(CapExceeded):
         brute_force_opt(inst)
+
+
+def test_cap_limits_at_the_boundary(monkeypatch):
+    """Every cap is a log2 budget: EXPAND allows 2**12 accepted-set
+    candidates by default, and FOURIER bounds the table length."""
+    monkeypatch.delenv("SMCSP_CAP_EXPAND", raising=False)
+    assert upward_closure(Predicate("all12", 12, 2, ((1,) * 12,))) \
+        == ((1,) * 12,)
+    with pytest.raises(CapExceeded, match="SMCSP_CAP_EXPAND"):
+        upward_closure(Predicate("all13", 13, 2, ((1,) * 13,)))
+    monkeypatch.setenv("SMCSP_CAP_FOURIER", "3")
+    assert biased_fourier([F(0)] * 8, F(1, 2)).r == 3
+    with pytest.raises(CapExceeded, match="SMCSP_CAP_FOURIER"):
+        biased_fourier([F(0)] * 16, F(1, 2))
 
 
 def test_named_instances_have_known_optima():

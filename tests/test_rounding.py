@@ -217,7 +217,7 @@ def test_round_result_is_lexicographically_least():
 
 
 def test_round_cap(monkeypatch):
-    monkeypatch.setenv("SMCSP_CAP_ROUND", "1")
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "1")
     inst = hvc(4)
     with pytest.raises(CapExceeded):
         round_solution(inst, solve_lp(inst).x, F(1, 4))

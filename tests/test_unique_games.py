@@ -194,6 +194,16 @@ def test_completeness_identity_full_and_partial():
     assert part["weight"] == dw * F(1, 2) + F(1, 2)
 
 
+@pytest.mark.parametrize("labels", [
+    {"L0": 0, "L1": 1},               # R0 missing
+    {"L0": 7, "L1": 1, "R0": 0},      # left label out of range
+    {"L0": 0, "L1": 1, "R0": 5},      # right label out of range
+])
+def test_completeness_rejects_a_bad_game_labeling(labels):
+    with pytest.raises(ValueError, match="label must be in 0..1"):
+        completeness_solution(_twisted_pair(), labels, _vc_dict(r=2))
+
+
 def test_completeness_tops_the_copies_of_unsatisfied_vertices():
     ug = _twisted_pair()
     D = _vc_dict(r=2)
