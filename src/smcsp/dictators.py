@@ -34,8 +34,8 @@ from .fourier import influences, mask_of
 from .lp import val
 from .model import (Instance, Point, PropertyViolation, point_distribution,
                     point_value, make_instance, assignment_cost, is_feasible,
-                    cheapest_labeling, collapse, check_solution,
-                    point_in_domain, tilted_value, violated_edge)
+                    cheapest_labeling, collapse, distribution_point,
+                    solution_in_domain, tilted_value, violated_edge)
 from .rounding import check_grid_fraction, perturb_point
 
 ZERO = Fraction(0)
@@ -94,7 +94,6 @@ class DictInstance:
     eps: Fraction | None
     tilde_values: tuple      # tilted value per cube, in bucket order
     bucket_weights: tuple    # total source weight per bucket
-    bucket_of: tuple | None  # source vertex index -> bucket
     source_value: Fraction | None  # val of the generating pair
     points: tuple            # vertex index -> (b, y)
 
@@ -112,7 +111,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     """Materialize the hypercube instance for (inst, x, r, delta).
 
     ``x`` must be hull-feasible and every entry must already sit on the
-    eps-grid (the caller snaps first).  An infeasible ``x`` raises
+    eps-grid (the caller snaps first).  Its shape and value domain are
+    checked before the grid, and an infeasible ``x`` raises
     ``ValueError`` naming the first edge that fails, before any DICT cap
     is checked.
     """
@@ -123,13 +123,12 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     if r < 1:
         raise ValueError("r must be a positive integer")
     eps = check_grid_fraction(eps)
+    if not solution_in_domain(inst, x):
+        raise ValueError("solution is not hull-feasible")
     off = [inst.vertex_ids[u] for u, pt in enumerate(x)
            if perturb_point(inst.q, pt, eps) != pt]
     if off:
         raise ValueError(f"solution entries off the eps-grid: {off}")
-    check_solution(inst, x)
-    if not all(point_in_domain(inst.q, pt) for pt in x):
-        raise ValueError("solution is not hull-feasible")
     dists = [extract_edge_distribution(inst, x, e_idx)
              for e_idx in range(len(inst.edges))]
 
@@ -164,7 +163,7 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
 
     out = make_instance(q, weights, inst.predicates, edges, ids)
     return DictInstance(out, r, delta, eps, tilde, tuple(bucket_weights),
-                        bucket_of, val(inst, x), tuple(points))
+                        val(inst, x), tuple(points))
 
 
 def require_generated(D: DictInstance) -> None:
@@ -369,6 +368,6 @@ def dict_view(inst: Instance) -> DictInstance:
         margin = [ZERO] * inst.q
         for (bb, y), w in zip(points[b * cube: (b + 1) * cube], block):
             margin[y[0]] += w / w_b
-        tilde.append(margin[1] if inst.q == 2 else tuple(margin))
+        tilde.append(distribution_point(inst.q, margin))
     return DictInstance(inst, r, None, None, tuple(tilde),
-                        tuple(bucket_weights), None, None, tuple(points))
+                        tuple(bucket_weights), None, tuple(points))

@@ -32,8 +32,9 @@ from .model import (
     ONE,
     check_solution,
     is_covering_predicate,
-    point_in_domain,
+    point_distribution,
     point_value,
+    solution_in_domain,
     upward_closure,
 )
 
@@ -191,7 +192,7 @@ def edge_mixture(inst: Instance, x: Sequence[Point], e: Edge):
     atoms = upward_closure(inst.predicate_of(e))
     rows = _hull_rows(q, e, atoms)
     A = [indicator for _, _, indicator in rows] + [[1] * len(atoms)]
-    b = [x[v] if q == 2 else x[v][i] for v, i, _ in rows] + [ONE]
+    b = [point_distribution(q, x[v])[i] for v, i, _ in rows] + [ONE]
     res = simplex.find_feasible_point(A, b)
     if res.status != simplex.OPTIMAL:
         return None
@@ -204,8 +205,7 @@ def check_feasible_fractional(inst: Instance, x: Sequence[Point]) -> bool:
     Each vertex value must lie in its domain and each edge restriction
     must admit a nonnegative mixture of accepted tuples (``edge_mixture``).
     """
-    check_solution(inst, x)
-    if not all(point_in_domain(inst.q, pt) for pt in x):
+    if not solution_in_domain(inst, x):
         return False
     return all(edge_mixture(inst, x, e) is not None for e in inst.edges)
 

@@ -7,10 +7,10 @@ in the coordinatewise order and is stored by its minimal elements.  An
 assignment maps every vertex to a label; it is feasible when every edge
 tuple is accepted, and its cost is the weight-average of its labels.
 
-Fractional relaxations assign each vertex a *point*: for ``q == 2`` a
-single rational in ``[0, 1]`` (the mass on label 1), for ``q > 2`` a
-rational distribution over the alphabet.  Helpers near the bottom of
-this module convert between the two views.
+Fractional relaxations assign each vertex a *point*, a rational label
+distribution, written for ``q == 2`` as its mass on label 1; the point
+is in the value domain when the distribution lies in the simplex.  Only
+``point_distribution`` and its inverse know the ``q == 2`` convention.
 
 Every exhaustive minimization in the package goes through one exact
 search, ``cheapest_labeling``: the cheapest feasible labeling,
@@ -34,7 +34,7 @@ import numpy as np
 
 from .caps import check_bits
 
-Point = Union[Fraction, tuple]  # scalar for q == 2, length-q tuple for q > 2
+Point = Union[Fraction, tuple]  # mass on label 1 if q == 2, else distribution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -110,13 +110,13 @@ _CLOSURE_CACHE: dict = {}
 def upward_closure(pred: Predicate) -> tuple:
     """Materialize the full accepting set of ``pred``, sorted.
 
-    Enumerates all ``q**arity`` tuples, so it is guarded by the EXPAND cap.
+    Enumerates all ``q**arity`` tuples, so every call checks the EXPAND cap.
     """
+    check_bits("EXPAND", pred.q ** pred.arity, f"accepting set of {pred.name}")
     key = (pred.q, pred.arity, pred.minimal)
     hit = _CLOSURE_CACHE.get(key)
     if hit is not None:
         return hit
-    check_bits("EXPAND", pred.q ** pred.arity, f"accepting set of {pred.name}")
     accepted = tuple(
         t
         for t in itertools.product(range(pred.q), repeat=pred.arity)
@@ -384,11 +384,20 @@ def check_point(q: int, pt: Point) -> None:
             raise ValueError(f"distribution {pt} has non-rational entries")
 
 
+def point_distribution(q: int, pt: Point) -> tuple:
+    """The point as a label distribution (scalar x becomes (1-x, x))."""
+    return (ONE - pt, pt) if q == 2 else pt
+
+
+def distribution_point(q: int, dist: Sequence[Fraction]) -> Point:
+    """Inverse of ``point_distribution``: the mass on label 1 for q == 2."""
+    return dist[1] if q == 2 else tuple(dist)
+
+
 def point_in_domain(q: int, pt: Point) -> bool:
-    """Box membership for scalars, simplex membership for distributions."""
-    if q == 2:
-        return 0 <= pt <= 1
-    return all(a >= 0 for a in pt) and sum(pt, ZERO) == 1
+    """The point's label distribution lies in the simplex."""
+    dist = point_distribution(q, pt)
+    return all(a >= 0 for a in dist) and sum(dist, ZERO) == 1
 
 
 def check_solution(inst: Instance, x: Sequence[Point]) -> None:
@@ -401,43 +410,36 @@ def check_solution(inst: Instance, x: Sequence[Point]) -> None:
             raise ValueError(f"x[{vid}]: {exc}") from None
 
 
+def solution_in_domain(inst: Instance, x: Sequence[Point]) -> bool:
+    """Check the shape of ``x``, then whether every point is in domain."""
+    check_solution(inst, x)
+    return all(point_in_domain(inst.q, pt) for pt in x)
+
+
 def point_value(q: int, pt: Point) -> Fraction:
-    """Expected label of a point (identity for the scalar view)."""
-    if q == 2:
-        return pt
-    return sum((Fraction(i) * a for i, a in enumerate(pt) if i), ZERO)
-
-
-def point_distribution(q: int, pt: Point) -> tuple:
-    """The point as a label distribution (scalar x becomes (1-x, x))."""
-    if q == 2:
-        return (ONE - pt, pt)
-    return pt
+    """Expected label of a point: the sum of i times the mass on i."""
+    dist = point_distribution(q, pt)
+    return sum((i * dist[i] for i in range(2, q)), dist[1])
 
 
 def tilted_value(q: int, pt: Point, delta: Fraction) -> Point:
     """(1 - delta) * p + delta * (top label point)."""
-    if q == 2:
-        return (1 - delta) * pt + delta
-    out = list((1 - delta) * a for a in pt)
+    out = [(1 - delta) * a for a in point_distribution(q, pt)]
     out[q - 1] += delta
-    return tuple(out)
+    return distribution_point(q, out)
 
 
 def label_point(q: int, a: int) -> Point:
     """The integral point concentrated on label ``a``."""
-    if q == 2:
-        return Fraction(a)
-    return tuple(ONE if i == a else ZERO for i in range(q))
+    return distribution_point(q, [ONE if i == a else ZERO for i in range(q)])
 
 
 def mix_points(q: int, points: Sequence[Point], coeffs: Sequence[Fraction]) -> Point:
     """Convex combination of points (exact)."""
-    if q == 2:
-        return sum((c * p for c, p in zip(coeffs, points)), ZERO)
-    return tuple(
-        sum((c * p[i] for c, p in zip(coeffs, points)), ZERO) for i in range(q)
-    )
+    dists = [point_distribution(q, p) for p in points]
+    mixed = [sum((c * d[i] for c, d in zip(coeffs, dists)), ZERO)
+             for i in range(q)]
+    return distribution_point(q, mixed)
 
 
 def solution_from_assignments(
@@ -450,11 +452,6 @@ def solution_from_assignments(
     """
     if sum(coeffs, ZERO) != 1 or any(c < 0 for c in coeffs):
         raise ValueError("coefficients must be a convex combination")
-    return [
-        mix_points(
-            inst.q,
-            [label_point(inst.q, labels[v]) for labels in assignments],
-            coeffs,
-        )
-        for v in range(inst.n)
-    ]
+    return [mix_points(inst.q, [label_point(inst.q, labels[v])
+                                for labels in assignments], coeffs)
+            for v in range(inst.n)]

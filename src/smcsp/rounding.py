@@ -1,8 +1,8 @@
 """Grid perturbation and exhaustive bucket rounding.
 
-``perturb`` snaps a feasible fractional solution onto the epsilon grid.
-Scalars round up to the next multiple of epsilon with 0 fixed.  Label
-distributions are processed from the top label downward: each
+``perturb`` snaps a solution in the value domain onto the epsilon grid,
+the points whose label distribution has every coordinate a multiple of
+epsilon, by one rule for every q: from the top label downward, each
 coordinate rounds up while the running mass stays within one, the first
 coordinate that would overflow absorbs the remainder, and everything
 below it becomes zero.  The snapped distribution stochastically
@@ -23,6 +23,8 @@ labels back to the vertices.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,8 +38,10 @@ from .model import (
     ONE,
     brute_force_opt,
     cheapest_labeling,
-    check_solution,
     collapse,
+    distribution_point,
+    point_distribution,
+    solution_in_domain,
 )
 
 
@@ -50,20 +54,18 @@ def check_grid_fraction(eps) -> Fraction:
 
 
 def _ceil_to_grid(a: Fraction, eps: Fraction) -> Fraction:
-    q, r = divmod(a, eps)
-    return (q + (1 if r else 0)) * eps
+    return eps * -(-a // eps)
 
 
 def perturb_point(q: int, pt: Point, eps: Fraction) -> Point:
-    if q == 2:
-        return ZERO if pt == 0 else _ceil_to_grid(pt, eps)
-    rounded = [_ceil_to_grid(a, eps) for a in pt]
+    # rounded[i - 1] is label i; label 0 absorbs the rest, unrounded
+    rounded = [_ceil_to_grid(a, eps) for a in point_distribution(q, pt)[1:]]
     kept = ZERO
     i = q - 1
-    while i > 0 and kept + rounded[i] <= 1:
-        kept += rounded[i]
+    while i > 0 and kept + rounded[i - 1] <= 1:
+        kept += rounded[i - 1]
         i -= 1
-    return tuple([ZERO] * i + [ONE - kept] + rounded[i + 1:])
+    return distribution_point(q, [ZERO] * i + [ONE - kept] + rounded[i:])
 
 
 @dataclass
@@ -74,9 +76,10 @@ class PerturbedSolution:
 
 
 def perturb(inst: Instance, x: Sequence[Point], eps) -> PerturbedSolution:
-    """Snap ``x`` onto the eps grid (x is assumed hull-feasible)."""
+    """Snap ``x`` (in the value domain, assumed hull-feasible) to the grid."""
     eps = check_grid_fraction(eps)
-    check_solution(inst, x)
+    if not solution_in_domain(inst, x):
+        raise ValueError("solution is not hull-feasible")
     x_eps = [perturb_point(inst.q, pt, eps) for pt in x]
     bucket_values = sorted(set(x_eps))
     index = {v: i for i, v in enumerate(bucket_values)}
@@ -89,26 +92,22 @@ def perturb(inst: Instance, x: Sequence[Point], eps) -> PerturbedSolution:
 
 
 def grid_points(q: int, eps) -> list:
-    """All snapped values: the eps grid inside the value domain."""
+    """All snapped values, ascending: the eps-lattice points of the simplex.
+
+    Each splits the ``1/eps`` grid steps into q parts at ``q - 1`` cuts.
+    """
     eps = check_grid_fraction(eps)
     steps = int(1 / eps)
-    if q == 2:
-        return [eps * k for k in range(steps + 1)]
-    points = set()
-
-    def extend(suffix: tuple, total: Fraction) -> None:
-        i = q - 1 - len(suffix)
-        points.add((ZERO,) * i + (ONE - total,) + suffix)
-        if i > 0:
-            for k in range(int((1 - total) / eps) + 1):
-                extend((eps * k,) + suffix, total + eps * k)
-
-    extend((), ZERO)
-    return sorted(points)
+    cuts = itertools.combinations_with_replacement(range(steps + 1), q - 1)
+    return sorted(distribution_point(q, [eps * (b - a) for a, b in
+                                         zip((0,) + c, c + (steps,))])
+                  for c in cuts)
 
 
 def grid_size(q: int, eps) -> int:
-    return len(grid_points(q, eps))
+    """``len(grid_points(q, eps))``, counted without building the grid."""
+    steps = int(1 / check_grid_fraction(eps))
+    return math.comb(steps + q - 1, q - 1)
 
 
 def verify_perturbation(inst: Instance, x: Sequence[Point], eps) -> dict:

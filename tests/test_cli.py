@@ -422,6 +422,16 @@ def test_cap_is_exit_4(tmp_path, capsys, monkeypatch):
     assert "SMCSP_CAP_DICT" in err
 
 
+def test_lowered_expand_cap_holds_for_a_cached_accepting_set(capsys,
+                                                             monkeypatch):
+    monkeypatch.delenv("SMCSP_CAP_EXPAND", raising=False)
+    assert run(capsys, "oracle", hvc3())[0] == 0
+    monkeypatch.setenv("SMCSP_CAP_EXPAND", "0")
+    code, _, err = run(capsys, "oracle", hvc3())
+    assert code == 4
+    assert "SMCSP_CAP_EXPAND" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle",),
     ("round", "--eps", "1/3"),

@@ -170,10 +170,11 @@ def test_bucket_constant_opt_equals_rounding():
         edges = [(list(e.vertices), [list(m) for m in
                   inst.predicates[e.predicate].minimal])
                  for e in inst.edges]
+        bucket_of = bucket_map(x)[2]
         want, want_labels = oracles.round_by_enumeration(
-            D.q, list(inst.weights), list(D.bucket_of), edges)
+            D.q, list(inst.weights), list(bucket_of), edges)
         assert bco == want
-        assert tuple(labels[b] for b in D.bucket_of) == want_labels
+        assert tuple(labels[b] for b in bucket_of) == want_labels
 
 
 def test_dict_opt_between_lp_and_dictator_cost():

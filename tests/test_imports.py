@@ -1,6 +1,7 @@
 """Package hygiene: every module uses every name it imports, every
-unexported top-level definition is used somewhere in the package, and
-every member of a package class is read somewhere."""
+unexported top-level definition is used somewhere in the package, every
+member of a package class is read somewhere, and no check is an
+``assert`` statement."""
 
 import ast
 from collections import Counter
@@ -31,6 +32,15 @@ def test_package_modules_use_every_import():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements; every check must survive it
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _references(node) -> Counter:

@@ -221,3 +221,48 @@ def test_named_malformed_document_is_exit_3(name, kind, mutate, files,
         err = capsys.readouterr().err
         assert code == 3, (argv[0], err)
         assert err.startswith("error: "), err
+
+
+# ---------------------------------------------------------------------------
+# well-formed solutions outside the value domain
+# ---------------------------------------------------------------------------
+
+# (instance fixture, solution outside the simplex)
+OUT_OF_DOMAIN = [
+    ("hvc3.json", {"v0": "3/2", "v1": "1/3", "v2": "1/3"}),
+    ("hvc3.json", {"v0": "5/4", "v1": "1/2", "v2": "1/2"}),
+    ("hvc3.json", {"v0": "-1/2", "v1": "1/1", "v2": "1/1"}),
+    ("ternary_chain.json", {vid: ["1/2", "1/2", "1/2"]
+                            for vid in ("a", "b", "c")}),
+    ("ternary_chain.json", {"a": ["-1/2", "1/2", "1/1"],
+                            "b": ["0/1", "0/1", "1/1"],
+                            "c": ["0/1", "0/1", "1/1"]}),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["round", "--eps", "1/2"],
+    ["round", "--eps", "1/3", "--report"],
+    ["dict", "--eps", "1/2", "--delta", "1/10", "--r", "1", "-o", "OUT"],
+    ["dict-check", "--eps", "1/4", "--delta", "1/10", "--r", "1"],
+])
+@pytest.mark.parametrize("fixture,x", OUT_OF_DOMAIN)
+def test_solution_outside_the_value_domain_is_exit_3(argv, fixture, x,
+                                                     files, capsys):
+    files["bad"].write_text(json.dumps({"x": x}))
+    argv = [str(files["out"]) if a == "OUT" else a for a in argv]
+    code = cli.main([argv[0], str(FIXTURES / fixture), *argv[1:],
+                     "--solution", str(files["bad"])])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == "error: solution is not hull-feasible\n"
+
+
+@pytest.mark.parametrize("x", [
+    [(F(1, 2), F(1, 2))] * 2,  # distributions where q = 2 wants scalars
+    [F(1, 2)] * 3,             # one entry too many
+    [F(1, 2), 1],              # an int, not a Fraction
+])
+def test_generate_dict_rejects_a_misshapen_solution(x):
+    with pytest.raises(ValueError):
+        generate_dict(vc_edge(), x, 2, F(1, 10), F(1, 2))

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import oracles
 from smcsp.caps import CapExceeded
 from smcsp.lp import check_feasible_fractional, lp_value, solve_lp, val
-from smcsp.model import Predicate, brute_force_opt, make_instance
+from smcsp.model import (Predicate, brute_force_opt, make_instance,
+                         mix_points, point_in_domain, point_value,
+                         tilted_value)
 from smcsp.randgen import (hvc, random_cover_instance,
                            random_feasible_solution, random_instance,
                            ternary_chain, vc_edge)
@@ -112,12 +114,45 @@ def test_snap_is_idempotent():
 
 
 def test_grid_point_counts():
+    assert grid_points(2, F(1, 4)) == [0, F(1, 4), F(1, 2), F(3, 4), 1]
+    assert grid_size(2, F(1, 6)) == 7
     assert grid_size(3, F(1, 2)) == len(grid_points(3, F(1, 2))) == 6
     assert grid_size(3, F(1, 3)) == 10
     assert grid_size(3, F(1, 4)) == 15
     assert grid_size(4, F(1, 2)) == 10
     assert grid_size(4, F(1, 3)) == 20
     assert grid_size(4, F(1, 4)) == 35
+    assert grid_size(5, F(1, 2)) == 15
+    assert grid_size(5, F(1, 3)) == 35
+    for q in (2, 3, 4, 5):
+        for k in range(1, 7):
+            points = grid_points(q, F(1, k))
+            assert grid_size(q, F(1, k)) == len(points) == len(set(points))
+            assert points == sorted(points)
+
+
+def _embed(a):
+    """The q = 2 point a as a ternary distribution with no mass on 1."""
+    return (1 - a, F(0), a)
+
+
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_unit, _unit, _unit, st.integers(1, 8),
+       st.fractions(min_value=-2, max_value=3, max_denominator=12))
+def test_binary_points_embed_in_the_ternary_simplex(a, b, c, k, any_x):
+    # x -> (1 - x, 0, x) commutes with tilt, snap, mix and domain, and
+    # doubles the expected label
+    eps = F(1, k)
+    assert tilted_value(3, _embed(a), c) == _embed(tilted_value(2, a, c))
+    assert perturb_point(3, _embed(a), eps) == _embed(
+        perturb_point(2, a, eps))
+    assert mix_points(3, [_embed(a), _embed(b)], [c, 1 - c]) == _embed(
+        mix_points(2, [a, b], [c, 1 - c]))
+    assert point_value(3, _embed(a)) == 2 * point_value(2, a)
+    assert point_in_domain(3, _embed(any_x)) == point_in_domain(2, any_x)
 
 
 def test_grid_points_are_snap_fixed_points():
