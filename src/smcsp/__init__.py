@@ -7,8 +7,8 @@ convex-hull relaxation, grid rounding, canonical edge distributions
 with smoothing, hypercube blowup instances, projection-game
 composition and decoding, biased Fourier analysis, and bivariate
 Gaussian stability bounds.  All combinatorial computations are exact
-over ``fractions.Fraction``; the floating-point surfaces (SVD,
-quadrature) are documented where they occur.
+over ``fractions.Fraction``; the floating-point surfaces (SVD, the
+Gaussian closed form) are documented where they occur.
 """
 
 from .caps import CapExceeded, cap

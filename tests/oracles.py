@@ -320,6 +320,38 @@ def gamma_orthant(rho: float) -> float:
     return 0.25 - math.asin(rho) / (2 * math.pi)
 
 
+def gamma_quad(rho: float, mu: float, nu: float) -> float:
+    """P[X < F^-1(mu), Y >= F^-1(1-nu)] for |rho| < 1 and 0 < mu, nu < 1,
+    by adaptive quadrature of the conditional upper tail of Y over X."""
+    from scipy.integrate import quad
+    from scipy.stats import norm
+
+    t1 = norm.ppf(mu)
+    t2 = norm.ppf(1 - nu)
+    s = math.sqrt(1 - rho * rho)
+
+    def integrand(x: float) -> float:
+        return norm.pdf(x) * norm.sf((t2 - rho * x) / s)
+
+    value, _ = quad(integrand, -math.inf, t1, epsabs=1e-12, limit=200)
+    return value
+
+
+def gamma_mp(rho: float, mu: float, nu: float, dps: int = 30):
+    """The same probability as ``gamma_quad``, integrated by mpmath at
+    ``dps`` significant digits; returns an ``mpf``."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rho, mu, nu = (mpmath.mpf(v) for v in (rho, mu, nu))
+        t1 = mpmath.sqrt(2) * mpmath.erfinv(2 * mu - 1)
+        t2 = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * nu)
+        s = mpmath.sqrt(1 - rho * rho)
+        return mpmath.quad(
+            lambda x: mpmath.npdf(x) * mpmath.ncdf((rho * x - t2) / s),
+            [-mpmath.inf, t1])
+
+
 def gamma_mc(rho: float, mu: float, nu: float, n: int = 10**7,
              seed: int = 20250814):
     """Monte Carlo estimate of P[X < F^-1(mu), Y >= F^-1(1-nu)].

@@ -4,9 +4,9 @@ Each criterion is a self-contained scenario from the project's
 acceptance list; one test per criterion so the suite prints one
 pass/fail line for each.  A failing criterion here is a finding, not a
 broken test: criterion 10's pairwise stability lower bound is violated
-on a large part of its own grid (see notes/decisions.md at the repo
-root's parent for the analysis), and the suite reports that honestly
-rather than papering over it.
+on a large part of its own grid (the README's criterion-10 verdict and
+demos/05_gaussian_bounds.py give the analysis), and the suite reports
+that honestly rather than papering over it.
 """
 
 import pytest
@@ -49,3 +49,14 @@ def test_criterion_10_details_leave_the_time_to_seconds(monkeypatch):
     assert report["details"] == (
         "grid: 0/81 violations (first: None); identities: 0 bad; "
         "mc |0.166667-0.166667| <= 3se=0.000300")
+
+
+def test_criterion_10_details_print_plain_floats(monkeypatch):
+    # the real grid, a stub Monte Carlo run
+    monkeypatch.setattr(acceptance, "gamma_mc",
+                        lambda *args, **kwargs: (1 / 6, 1e-4))
+    report, = acceptance.run([10])
+    assert report["details"].startswith(
+        "grid: 143/324 violations (first: {'kind': 'pair', 'theta': 0.1, "
+        "'lambda': 0.2, 'value': 1.49")
+    assert "np.float64(" not in report["details"]

@@ -375,7 +375,7 @@ def test_one_parser_serves_many_calls(capsys):
 
 
 def test_lp_leaves_scipy_unimported():
-    """Only the Gaussian quadrature needs scipy, so nothing else loads it."""
+    """Only the Gaussian layer needs scipy, so nothing else loads it."""
     script = ("import sys\n"
               "from smcsp import cli\n"
               f"code = cli.main(['lp', {str(FIXTURES / 'vc_edge.json')!r}, "

@@ -1,12 +1,14 @@
 """Bivariate Gaussian quadrant probabilities and the stability report."""
 
 import math
+import random
+import warnings
 
 import pytest
 
 import oracles
-from smcsp.gaussian import (check_gamma_inequalities, gamma, gamma_mc,
-                            gamma_power, gamma_recursive)
+from smcsp.gaussian import (DEFAULT_GRID, check_gamma_inequalities, gamma,
+                            gamma_mc, gamma_power, gamma_recursive)
 
 
 def test_zero_correlation_factorizes():
@@ -94,3 +96,54 @@ def test_power_bound_is_reported_not_assumed():
     assert first["theta"] == 0.1
     assert first["value"] < first["bound"]
     assert math.isfinite(first["value"])
+
+
+def test_closed_form_matches_quadrature_on_the_criterion_10_grid():
+    for theta in DEFAULT_GRID:
+        for lam in DEFAULT_GRID:
+            rho = 1 - lam
+            assert abs(gamma(rho, theta, theta)
+                       - oracles.gamma_quad(rho, theta, theta)) < 1e-12
+
+
+def test_closed_form_matches_quadrature_off_the_grid():
+    # mu = 1/2 or nu = 1/2 puts a zero in the Owen's T form, which has
+    # its own branches
+    rng = random.Random(1956)
+    for _ in range(20):
+        rho = rng.uniform(-0.99, 0.99)
+        mu, nu = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
+        for m, n in [(mu, nu), (0.5, nu), (mu, 0.5), (0.5, 0.5)]:
+            assert abs(gamma(rho, m, n)
+                       - oracles.gamma_quad(rho, m, n)) < 1e-12
+
+
+def test_criterion_10_witnesses_hold_at_30_digits():
+    # theta = 0.1, lambda = 0.2: the 30-digit integral lies a factor of
+    # about 6.7 below the bound, far beyond any float error
+    first = check_gamma_inequalities()["violations"][0]
+    assert (first["theta"], first["lambda"]) == (0.1, 0.2)
+    exact = oracles.gamma_mp(0.8, 0.1, 0.1)
+    assert abs(first["value"] - float(exact)) < 1e-15
+    assert exact < first["bound"] - 1e-6
+    assert 1.4958e-6 < exact < 1.4959e-6
+    # the README's witnesses for the both-low readings against
+    # theta^(1/lambda); both low at correlation r is gamma(-r, ...)
+    for r, lam in [(0.3, 0.7), (0.9, 0.9)]:
+        assert oracles.gamma_mp(-r, 0.1, 0.1) < 0.1 ** (1 / lam) - 1e-6
+
+
+def test_vanishing_mass_is_exactly_zero_without_warnings():
+    # 1 - 1e-17 rounds to 1.0, so the upper quantile is +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma(0.5, 0.3, 1e-17) == 0.0
+        check_gamma_inequalities()
+
+
+def test_gamma_is_a_plain_float_on_every_branch():
+    args = [(0.5, 0.0, 0.3), (0.5, 1.0, 0.3), (0.5, 0.3, 1.0),
+            (0.0, 0.3, 0.4), (1.0, 0.7, 0.4), (-1.0, 0.3, 0.4),
+            (0.5, 0.3, 1e-17), (0.5, 0.5, 0.5), (0.5, 0.5, 0.3),
+            (0.5, 0.3, 0.5), (0.5, 0.3, 0.4), (0.5, 1, 1), (0, 1, 1)]
+    assert {type(gamma(*a)) for a in args} == {float}

@@ -1,9 +1,13 @@
 """Package hygiene: every module uses every name it imports, every
 unexported top-level definition is used somewhere in the package, every
-member of a package class is read somewhere, and no check is an
-``assert`` statement."""
+member of a package class is read somewhere, no check is an ``assert``
+statement, and the Gaussian layer loads neither scipy's quadrature nor
+its statistics package."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -102,3 +106,19 @@ def test_every_class_member_is_read():
                 if not name.startswith("__") and reads[name] == own:
                     unread.append(f"{path.name}:{cls.name}.{name}")
     assert unread == []
+
+
+def test_gaussian_layer_leaves_quadrature_and_stats_unimported():
+    script = ("import sys\n"
+              "import smcsp\n"
+              "smcsp.gamma(0.5, 0.3, 0.4)\n"
+              "smcsp.gamma_mc(0.5, 0.3, 0.4, n=1000)\n"
+              "smcsp.check_gamma_inequalities()\n"
+              "print(sorted({'scipy.integrate', 'scipy.stats'}"
+              " & set(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.stdout.splitlines()[-1:] == ["[]"], done.stderr
