@@ -24,7 +24,7 @@ print(f"blowup: {D.m} cube(s) of dimension {r}, "
       f"{len(D.instance.vertex_ids)} vertices, "
       f"{len(D.instance.edges)} constraints")
 
-report = completeness_check(D, inst, x)
+report = completeness_check(D)
 print(f"\nevery dictator costs exactly {report['dictator_cost']} "
       f"(= (1-{delta}) * {D.source_value} + {delta})")
 print(f"upper bound value + delta(q-1) = {report['bound']}")

@@ -19,8 +19,8 @@ from .model import (Instance, Predicate, Edge, covering_predicate,
 from .lp import LpSolution, build_lp, solve_lp, lp_value, val, \
     check_feasible_fractional, standard_hvc_lp
 from .rounding import (PerturbedSolution, RoundResult, perturb,
-                       perturb_point, round_solution, bucketed_instance,
-                       integrality_report, grid_points)
+                       perturb_point, round_solution, integrality_report,
+                       grid_points)
 from .distributions import (EdgeDistribution, extract_edge_distribution,
                             smooth, margin, min_atom, maximal_correlation,
                             cheeger_check)
@@ -53,8 +53,7 @@ __all__ = [
     "LpSolution", "build_lp", "solve_lp", "lp_value", "val",
     "check_feasible_fractional", "standard_hvc_lp",
     "PerturbedSolution", "RoundResult", "perturb", "perturb_point",
-    "round_solution", "bucketed_instance", "integrality_report",
-    "grid_points",
+    "round_solution", "integrality_report", "grid_points",
     "EdgeDistribution", "extract_edge_distribution", "smooth", "margin",
     "min_atom", "maximal_correlation", "cheeger_check",
     "DictInstance", "generate_dict", "dictator_assignment",

@@ -27,9 +27,8 @@ from .fourier import (biased_fourier, conditional_variance_influence,
 from .gaussian import check_gamma_inequalities, gamma, gamma_mc
 from .lp import lp_value, solve_lp, standard_hvc_lp, val
 from .model import (PropertyViolation, brute_force_opt, check_solution,
-                    covering_predicate, make_instance)
-from .rounding import (bucketed_instance, round_solution,
-                       verify_perturbation)
+                    collapse, covering_predicate, make_instance)
+from .rounding import perturb, round_solution, verify_perturbation
 from .unique_games import UgInstance, compose, completeness_solution, \
     ug_satisfied_weight
 
@@ -117,7 +116,7 @@ def criterion_4():
         x = solve_lp(inst).x
         eps = rng.choice([F(1, 4), F(1, 6)])
         rounded = round_solution(inst, x, eps)
-        collapsed, _ = bucketed_instance(inst, x, eps)
+        collapsed = collapse(inst, perturb(inst, x, eps).bucket_of)
         c_opt, _ = brute_force_opt(collapsed)
         opt, _ = brute_force_opt(inst)
         if not (rounded.value == c_opt and rounded.value >= opt):
@@ -204,8 +203,8 @@ def _dict_corpus():
 def criterion_7():
     """Every coordinate labeling is feasible with the exact predicted cost."""
     count = 0
-    for inst, x, eps, D in _dict_corpus():
-        completeness_check(D, inst, x)  # raises on any mismatch
+    for *_, D in _dict_corpus():
+        completeness_check(D)  # raises on any mismatch
         count += 1
     return _report(7, "coordinate labelings: feasible, exact cost", True,
                    f"{count} generated instances, all coordinates checked")

@@ -3,9 +3,10 @@
 Every enumeration in this package (accepting-set expansion, the one
 exact labeling search behind the oracle, bucket rounding and the
 cube-constant optimum, long-code tuple expansion, Fourier tables, game
-brute force) is bounded by an explicit cap so that a malformed or
-oversized input fails fast instead of hanging.  Every cap is a log2 budget: an enumeration of ``count`` items
-is allowed when ``count <= 2**cap``.  Each cap can be overridden through
+brute force and game composition) is bounded by an explicit cap so that
+a malformed or oversized input fails fast instead of hanging.  Every cap
+is a log2 budget: an enumeration of ``count`` items is allowed when
+``count <= 2**cap``.  Each cap can be overridden through
 an environment variable ``SMCSP_CAP_<NAME>``.
 """
 
@@ -19,7 +20,8 @@ _DEFAULTS = {
     "ENUM": 24,      # exact labeling search: q**n <= 2**ENUM
     "DICT": 20,      # per-edge tuple budget: |support|**r <= 2**DICT
     "FOURIER": 20,   # Fourier table length: 2**r <= 2**FOURIER
-    "UG": 20,        # unique-games brute force: r**|U| <= 2**UG
+    "UG": 20,        # game brute force r**|U|, composed vertices and
+                     # composed constraint tuples: each <= 2**UG
 }
 
 

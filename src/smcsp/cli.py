@@ -182,7 +182,7 @@ def cmd_dict(args) -> int:
 def cmd_dict_check(args) -> int:
     inst = _load_instance(args.instance)
     D, x = _generated_dict(args, inst)
-    report = completeness_check(D, inst, x)
+    report = completeness_check(D)
     bco, bucket_labels = bucket_constant_opt(D)
     rounded = round_solution(inst, x, D.eps).value
     if bco != rounded:

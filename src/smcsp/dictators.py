@@ -35,8 +35,8 @@ from .lp import val
 from .model import (Instance, Point, PropertyViolation, point_distribution,
                     point_value, make_instance, assignment_cost, is_feasible,
                     cheapest_labeling, collapse, distribution_point,
-                    solution_in_domain, tilted_value, violated_edge)
-from .rounding import check_grid_fraction, perturb_point
+                    tilted_value, violated_edge)
+from .rounding import check_grid_fraction, perturb
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -123,10 +123,9 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     if r < 1:
         raise ValueError("r must be a positive integer")
     eps = check_grid_fraction(eps)
-    if not solution_in_domain(inst, x):
-        raise ValueError("solution is not hull-feasible")
-    off = [inst.vertex_ids[u] for u, pt in enumerate(x)
-           if perturb_point(inst.q, pt, eps) != pt]
+    snapped = perturb(inst, x, eps).x_eps
+    off = [vid for vid, pt, snap in zip(inst.vertex_ids, x, snapped)
+           if snap != pt]
     if off:
         raise ValueError(f"solution entries off the eps-grid: {off}")
     dists = [extract_edge_distribution(inst, x, e_idx)
@@ -187,16 +186,11 @@ def dictator_weight(D: DictInstance) -> Fraction:
                 for w, t in zip(D.bucket_weights, D.tilde_values)), ZERO)
 
 
-def completeness_check(D: DictInstance, inst: Instance,
-                       x: Sequence[Point]) -> dict:
+def completeness_check(D: DictInstance) -> dict:
     """Verify that every coordinate labeling is feasible and has the
     predicted exact cost; returns the per-coordinate report."""
     require_generated(D)
     value = D.source_value
-    recomputed = val(inst, x)
-    if recomputed != value:
-        raise ValueError(f"instance/solution pair has value "
-                         f"{recomputed}, expected {value}")
     expected = (1 - D.delta) * value + D.delta * (D.q - 1)
     if dictator_weight(D) != expected:
         raise PropertyViolation(f"dictator weight {dictator_weight(D)} "
@@ -230,17 +224,16 @@ def _require_boolean(D: DictInstance) -> None:
         raise ValueError("subset analysis is defined for q = 2 only")
 
 
-def cube_complement_table(D: DictInstance, labels: Sequence[int],
-                          b: int) -> list:
-    """Truth table (mask-indexed) of the indicator of the complement of
-    the selection within hypercube b."""
+def cube_tables(D: DictInstance, values: Sequence) -> list:
+    """The m mask-indexed truth tables of a function on D's vertices,
+    given as ``values`` in vertex order, one table per hypercube."""
     _require_boolean(D)
-    base = b * 2 ** D.r
-    table = [0] * 2 ** D.r
-    for offset in range(2 ** D.r):
-        _, y = D.points[base + offset]
-        table[mask_of(y)] = 1 - labels[base + offset]
-    return table
+    cube = 2 ** D.r
+    offset_of = [0] * cube  # mask -> position of its string in a cube
+    for offset, (_, y) in enumerate(D.points[:cube]):
+        offset_of[mask_of(y)] = offset
+    return [[values[base + o] for o in offset_of]
+            for base in range(0, len(D.points), cube)]
 
 
 def cube_influences(table: Sequence, tilt, d: int) -> list:
@@ -318,14 +311,13 @@ def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,
     The verdict is True when every influence is at most tau; all
     influences are exact rationals.
     """
-    _require_boolean(D)
+    tables = cube_tables(D, [1 - a for a in labels])
     tau = Fraction(tau)
     worst = ZERO
     argmax = None
     table_out = []
-    for b in range(D.m):
-        row = cube_influences(cube_complement_table(D, labels, b),
-                              D.tilde_values[b], d)
+    for b, (table, tilt) in enumerate(zip(tables, D.tilde_values)):
+        row = cube_influences(table, tilt, d)
         for i, inf in enumerate(row):
             if inf > worst:
                 worst, argmax = inf, (b, i)

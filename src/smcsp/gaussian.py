@@ -86,14 +86,24 @@ def gamma(rho: float, mu: float, nu: float) -> float:
 
 def gamma_mc(rho: float, mu: float, nu: float, n: int = 10**7,
              seed: int = 0) -> tuple:
-    """Monte Carlo check of ``gamma``: returns (estimate, standard_error)."""
+    """Monte Carlo check of ``gamma``: returns (estimate, standard_error).
+
+    One generator draws the n x-samples, then the n noise samples; both
+    streams are read in blocks of 2**18, so memory stays bounded.
+    """
     import numpy as np
     from scipy.special import ndtri
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    y = rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(n)
-    hits = np.count_nonzero((x < ndtri(mu)) & (y >= ndtri(1 - nu)))
+    xs, zs = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = [min(1 << 18, n - i) for i in range(0, n, 1 << 18)]
+    for size in blocks:  # advance the noise stream past the x-draws
+        zs.standard_normal(size)
+    a, b, s = ndtri(mu), ndtri(1 - nu), math.sqrt(1 - rho * rho)
+    hits = 0
+    for size in blocks:
+        x = xs.standard_normal(size)
+        y = rho * x + s * zs.standard_normal(size)
+        hits += int(np.count_nonzero((x < a) & (y >= b)))
     p = hits / n
     se = math.sqrt(max(p * (1 - p), 1e-30) / n)
     return p, se

@@ -138,7 +138,7 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     """Solve a built relaxation to a deterministic basic optimum."""
     res = simplex.solve_standard_form(problem.A, problem.b, problem.c)
     if res.status != simplex.OPTIMAL:
-        raise simplex.SimplexError(
+        raise PropertyViolation(
             f"hull relaxation did not solve to optimality: {res.status}"
         )
     inst = problem.instance
@@ -238,5 +238,5 @@ def standard_hvc_lp(inst: Instance) -> Fraction:
     c = list(inst.weights) + [ZERO] * m
     res = simplex.solve_standard_form(A, b, c)
     if res.status != simplex.OPTIMAL:
-        raise simplex.SimplexError(f"covering LP: {res.status}")
+        raise PropertyViolation(f"covering LP: {res.status}")
     return res.objective

@@ -355,8 +355,9 @@ def cheapest_labeling(inst: Instance):
             best_labels = prefix + tuple(i // q ** (k - 1 - j) % q
                                          for j in range(k))
     if best is None:
-        raise RuntimeError("no feasible assignment (upward-closed predicates "
-                           "should always accept the all-top assignment)")
+        raise PropertyViolation("no feasible assignment (upward-closed "
+                                "predicates should always accept the "
+                                "all-top assignment)")
     return Fraction(best, scale), best_labels
 
 

@@ -14,11 +14,14 @@ objective increases by at most ``eps`` for ``q == 2`` and at most
 
 ``round_solution`` then groups vertices into buckets by their snapped
 value and returns the cheapest feasible assignment that is constant on
-each bucket.  It collapses every bucket to one vertex (the instance
-``bucketed_instance`` returns, with bucket ``b`` named ``v<b>``), solves
-that instance with the exact search ``model.cheapest_labeling``, which
-bounds its ``q**m`` labelings by the ENUM cap, and lifts the bucket
-labels back to the vertices.
+each bucket.  It collapses every bucket to one vertex
+(``collapse(inst, perturb(inst, x, eps).bucket_of)``, with bucket ``b``
+named ``v<b>``), solves that instance with the exact search
+``model.cheapest_labeling``, which bounds its ``q**m`` labelings by the
+ENUM cap, and lifts the bucket labels back to the vertices.  The snap
+is also the grid test: a solution is on the eps-grid exactly when
+``perturb`` leaves it unchanged, and ``dictators.generate_dict`` checks
+its input that way.
 """
 
 from __future__ import annotations
@@ -151,19 +154,6 @@ def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
     value, z = cheapest_labeling(collapse(inst, pert.bucket_of))
     labels = tuple(z[b] for b in pert.bucket_of)
     return RoundResult(value, labels, pert.bucket_values)
-
-
-def bucketed_instance(inst: Instance, x: Sequence[Point], eps):
-    """Collapse vertices with equal snapped value into one vertex.
-
-    Returns ``(collapsed instance, bucket_of)``.  Bucket ``b`` becomes
-    vertex ``v<b>``, numbered in ascending snapped value, and weighs the
-    sum of its members; edges are the set images of the original edges
-    (duplicates collapse).  The optimum of the collapsed instance equals
-    ``round_solution(inst, x, eps).value`` exactly.
-    """
-    pert = perturb(inst, x, eps)
-    return collapse(inst, pert.bucket_of), pert.bucket_of
 
 
 def integrality_report(inst: Instance, eps,

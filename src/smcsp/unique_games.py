@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .caps import check_bits
-from .dictators import (DictInstance, cube_complement_table, cube_influences,
-                        dict_view, dictator_assignment, dictator_weight,
+from .dictators import (DictInstance, cube_influences, cube_tables, dict_view,
+                        dictator_assignment, dictator_weight,
                         require_generated)
 from .model import (Instance, PropertyViolation, assignment_cost,
                     is_feasible, make_instance)
@@ -318,26 +318,22 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
     r = D.r
     if d is None:
         d = r
-    size = 2 ** r
     decoded = {}
     influence_table = {}
     for v, vid in enumerate(ug.right):
         incident = incident_right(ug, v)
         mass = sum((wt for _, _, wt, _ in incident), ZERO)
-        per_cube = []
-        for b in range(D.m):
-            table = [0.0] * size
-            for u, _, wt, perm in incident:
-                if wt == 0:
-                    continue
-                coeff = float(wt / mass)
-                cells = cube_complement_table(D, pulled[u, perm], b)
-                for mask, c in enumerate(cells):
-                    table[mask] += coeff * c
-            per_cube.append(table)
+        average = [0.0] * len(D.points)
+        for u, _, wt, perm in incident:
+            if wt == 0:
+                continue
+            coeff = float(wt / mass)
+            for i, a in enumerate(pulled[u, perm]):
+                average[i] += coeff * (1 - a)
         per_i = [0.0] * r
-        rows = [cube_influences(table, float(D.tilde_values[b]), d)
-                for b, table in enumerate(per_cube)]
+        rows = [cube_influences(table, float(tilt), d)
+                for table, tilt in zip(cube_tables(D, average),
+                                       D.tilde_values)]
         for row in rows:
             for i, inf in enumerate(row):
                 per_i[i] = max(per_i[i], inf)

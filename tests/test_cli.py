@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from smcsp import cli, io
+from smcsp import cli, io, model, simplex
 from smcsp.dictators import dict_view, pseudo_random_check
 from smcsp.randgen import vc_edge
 from smcsp.unique_games import (UgInstance, completeness_solution, compose,
@@ -444,6 +444,61 @@ def test_enum_cap_bounds_every_labeling_search(capsys, monkeypatch, argv):
     code, _, err = run(capsys, argv[0], hvc3(), *argv[1:])
     assert code == 4
     assert "SMCSP_CAP_ENUM" in err
+
+
+@pytest.mark.parametrize("cap, code, message", [
+    ("3", 4, "composed vertex count: 16 exceeds 2^3 (SMCSP_CAP_UG)"),
+    ("5", 4, "composed constraint tuples: 36 exceeds 2^5 (SMCSP_CAP_UG)"),
+    ("6", 0, ""),
+])
+def test_ug_cap_bounds_the_composition(tmp_path, capsys, monkeypatch, cap,
+                                       code, message):
+    dict_file = tmp_path / "dict.json"
+    assert run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps", "1/2",
+               "--delta", "1/10", "--r", "2", "-o", dict_file)[0] == 0
+    monkeypatch.setenv("SMCSP_CAP_UG", cap)
+    got, _, err = run(capsys, "reduce", "--ug", FIXTURES / "ug_small.json",
+                      "--dict", dict_file, "-o", tmp_path / "f.json")
+    assert got == code
+    assert err == (f"error: {message}\n" if message else "")
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ({"SMCSP_CAP_ENUM": "abc"}, ("oracle", hvc3()),
+     "SMCSP_CAP_ENUM must be an integer, got 'abc'"),
+    ({"SMCSP_CAP_ENUM": "-1"}, ("oracle", hvc3()),
+     "SMCSP_CAP_ENUM must be nonnegative, got -1"),
+    ({}, ("analyze", "correlation", hvc3(), "--edge", "5", "--split", "1|2"),
+     "--edge must be in 0..0"),
+    ({}, ("analyze", "correlation", hvc3(), "--edge", "0", "--split", "1|9"),
+     "--split coordinates must be in 1..3"),
+])
+def test_bad_setting_or_argument_is_exit_3(capsys, monkeypatch, env, argv,
+                                           message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("module, name, broken, argv, message", [
+    ("simplex", "solve_standard_form",
+     lambda *args: simplex.SimplexResult(simplex.INFEASIBLE, None, None,
+                                         None),
+     ("lp", hvc3()), "hull relaxation did not solve to optimality"),
+    ("model", "upward_closure", lambda pred: (), ("oracle", hvc3()),
+     "no feasible assignment"),
+])
+def test_broken_invariant_is_exit_1(capsys, monkeypatch, module, name,
+                                    broken, argv, message):
+    # both LPs are feasible and bounded, and every upward-closed
+    # predicate accepts the all-top labeling; a fault that breaks either
+    # fact is reported as a property, not a traceback
+    monkeypatch.setattr(globals()[module], name, broken)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"property violated: {message}")
 
 
 def test_check_subcommand_single_criterion(capsys):

@@ -128,8 +128,8 @@ def test_every_dictator_is_feasible_at_the_exact_cost():
 
 
 def test_completeness_check_report():
-    inst, x, D = _vc_dict(r=2)
-    report = completeness_check(D, inst, x)
+    D = _vc_dict(r=2)[2]
+    report = completeness_check(D)
     assert report["dictator_cost"] == F(11, 20)
     assert report["bound"] == F(3, 5)
     assert report["costs"] == [F(11, 20)] * 2
@@ -141,7 +141,7 @@ def test_ternary_dictators():
     x = solution_from_assignments(inst, [(0, 2, 1), (2, 2, 2)],
                                   [F(1, 2), F(1, 2)])
     D = generate_dict(inst, x, 2, F(1, 5), F(1, 2))
-    report = completeness_check(D, inst, x)
+    report = completeness_check(D)
     want = oracles.dictator_weight(report["value"], F(1, 5), 3)
     assert report["dictator_cost"] == want
 
@@ -245,14 +245,14 @@ def test_dict_view_recovers_structure():
 
 
 def test_views_have_no_generation_parameters():
-    inst, x, D = _vc_dict(r=2)
+    D = _vc_dict(r=2)[2]
     view = dict_view(D.instance)
     game = UgInstance(2, ("L",), ("R",), ((0, 0, F(1), (0, 1)),))
     no_params = "a hypercube view has no delta, eps or source value"
     with pytest.raises(ValueError, match=no_params):
         extract_TJ(view, dictator_assignment(view, 0))
     with pytest.raises(ValueError, match=no_params):
-        completeness_check(view, inst, x)
+        completeness_check(view)
     with pytest.raises(ValueError, match=no_params):
         completeness_solution(game, {"L": 0, "R": 0}, view, lp_value=F(1, 2))
 

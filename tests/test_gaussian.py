@@ -40,6 +40,17 @@ def test_monte_carlo_agrees_with_quadrature():
     assert abs(est - gamma(0.5, 0.5, 0.5)) <= 4 * se
 
 
+def test_blocked_monte_carlo_matches_one_shot_draws_bit_for_bit():
+    # across a partial block, an exact block multiple and a short tail
+    for rho, mu, nu, n, seed in [(0.5, 0.5, 0.5, 1000, 20250814),
+                                 (0.5, 0.5, 0.5, 2 ** 19, 1),
+                                 (0.3, 0.2, 0.7, 2 ** 18 + 1, 7),
+                                 (-0.6, 0.9, 0.4, 600_007, 20250814)]:
+        got = gamma_mc(rho, mu, nu, n=n, seed=seed)
+        assert got == oracles.gamma_mc(rho, mu, nu, n=n, seed=seed)
+        assert type(got[0]) is float
+
+
 def test_monotone_in_mu_and_nu():
     prev = 0.0
     for mu in (0.1, 0.3, 0.5, 0.7, 0.9):

@@ -195,11 +195,13 @@ try:
     randgen.random_feasible_assignment(random.Random(0), inst)
 except PropertyViolation as exc:
     print("caught", exc)
+grid_size = rounding.grid_size
 rounding.grid_size = lambda q, eps: 0
 try:
     rounding.perturb(inst, [Fraction(1, 2)] * 2, Fraction(1, 2))
 except PropertyViolation as exc:
     print("caught", exc)
+rounding.grid_size = grid_size
 acceptance.val = lambda inst, x: Fraction(-1)
 acceptance.lp_value = lambda inst: Fraction(-1)
 for criterion in (1, 11):

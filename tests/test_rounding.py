@@ -16,16 +16,15 @@ from hypothesis import strategies as st
 import oracles
 from smcsp.caps import CapExceeded
 from smcsp.lp import check_feasible_fractional, lp_value, solve_lp, val
-from smcsp.model import (Predicate, brute_force_opt, make_instance,
-                         mix_points, point_in_domain, point_value,
-                         tilted_value)
+from smcsp.model import (Predicate, brute_force_opt, collapse,
+                         make_instance, mix_points, point_in_domain,
+                         point_value, tilted_value)
 from smcsp.randgen import (hvc, random_cover_instance,
                            random_feasible_solution, random_instance,
                            ternary_chain, vc_edge)
-from smcsp.rounding import (bucketed_instance, check_grid_fraction,
-                            grid_points, grid_size, integrality_report,
-                            perturb, perturb_point, round_solution,
-                            verify_perturbation)
+from smcsp.rounding import (check_grid_fraction, grid_points, grid_size,
+                            integrality_report, perturb, perturb_point,
+                            round_solution, verify_perturbation)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def test_round_equals_opt_of_bucket_collapsed_instance():
         inst = random_instance(rng, q, rng.randint(2, 4), rng.randint(1, 3))
         x = solve_lp(inst).x
         eps = F(1, 3)
-        collapsed, _ = bucketed_instance(inst, x, eps)
+        collapsed = collapse(inst, perturb(inst, x, eps).bucket_of)
         assert round_solution(inst, x, eps).value == \
             brute_force_opt(collapsed)[0]
 
