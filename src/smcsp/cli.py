@@ -28,7 +28,7 @@ from .dictators import (bucket_constant_opt, completeness_check, dict_view,
 from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
-from .model import PropertyViolation, brute_force_opt, check_solution
+from .model import PropertyViolation, brute_force_opt
 from .rounding import integrality_report, perturb, round_solution
 from .unique_games import (compose, composed_cubes, decode_labeling,
                            ug_satisfied_weight)
@@ -258,7 +258,6 @@ def cmd_analyze_correlation(args) -> int:
     if not 0 <= args.edge < len(inst.edges):
         raise ValueError(f"--edge must be in 0..{len(inst.edges) - 1}")
     x = _solution_for(args, inst)
-    check_solution(inst, x)
     dist = extract_edge_distribution(inst, x, args.edge)
     if args.delta:
         dist = smooth(dist, io.parse_rational(args.delta, "--delta"))

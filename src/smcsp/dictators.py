@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -88,14 +88,15 @@ def parse_dict_vertex_id(vid: str):
 
 @dataclass(frozen=True)
 class DictInstance:
+    """A blowup's hypercube structure; ``dict_view`` builds every one."""
     instance: Instance
     r: int
-    delta: Fraction | None
-    eps: Fraction | None
     tilde_values: tuple      # tilted value per cube, in bucket order
     bucket_weights: tuple    # total source weight per bucket
-    source_value: Fraction | None  # val of the generating pair
     points: tuple            # vertex index -> (b, y)
+    delta: Fraction | None = None
+    eps: Fraction | None = None
+    source_value: Fraction | None = None  # val of the generating pair
 
     @property
     def m(self) -> int:
@@ -114,7 +115,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     eps-grid (the caller snaps first).  Its shape and value domain are
     checked before the grid, and an infeasible ``x`` raises
     ``ValueError`` naming the first edge that fails, before any DICT cap
-    is checked.
+    is checked.  Returns ``dict_view`` of the built instance with the
+    generation parameters set, so a zero-weight bucket raises there.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -161,8 +163,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     edges = sorted(edge_set)
 
     out = make_instance(q, weights, inst.predicates, edges, ids)
-    return DictInstance(out, r, delta, eps, tilde, tuple(bucket_weights),
-                        val(inst, x), tuple(points))
+    return replace(dict_view(out), delta=delta, eps=eps,
+                   source_value=val(inst, x))
 
 
 def require_generated(D: DictInstance) -> None:
@@ -331,20 +333,20 @@ def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,
 # ---------------------------------------------------------------------------
 
 def dict_view(inst: Instance) -> DictInstance:
-    """Rebuild the hypercube structure of a generated instance.
+    """Rebuild the hypercube structure of a generated instance; the one
+    constructor of ``DictInstance``, ``generate_dict`` included.
 
-    Vertex ids carry (b, y); per-cube measures are recovered from the
-    weights, so the result supports decoding and subset analysis but
-    has no generation parameters (delta, eps, source value).
+    Vertex ids carry (b, y), r is read off the first; per-cube measures
+    are recovered from the weights (a zero-weight cube raises), so the
+    result supports decoding and subset analysis but has no generation
+    parameters (delta, eps, source value).
     """
-    parsed = [parse_dict_vertex_id(vid) for vid in inst.vertex_ids]
-    if not parsed:
+    if not inst.vertex_ids:
         raise ValueError("instance has no vertices")
-    r = len(parsed[0][1])
-    m = max(b for b, _ in parsed) + 1
+    r = len(parse_dict_vertex_id(inst.vertex_ids[0])[1])
     cube = inst.q ** r
-    # counting first keeps a stray large cube index from being enumerated
-    points = _cube_points(m, inst.q, r) if len(parsed) == m * cube else ()
+    m = len(inst.vertex_ids) // cube
+    points = _cube_points(m, inst.q, r)
     if list(inst.vertex_ids) != [dict_vertex_id(b, y) for b, y in points]:
         raise ValueError("vertex ids do not enumerate full hypercubes "
                          "in canonical order")
@@ -361,5 +363,5 @@ def dict_view(inst: Instance) -> DictInstance:
         for (bb, y), w in zip(points[b * cube: (b + 1) * cube], block):
             margin[y[0]] += w / w_b
         tilde.append(distribution_point(inst.q, margin))
-    return DictInstance(inst, r, None, None, tuple(tilde),
-                        tuple(bucket_weights), None, tuple(points))
+    return DictInstance(inst, r, tuple(tilde), tuple(bucket_weights),
+                        tuple(points))

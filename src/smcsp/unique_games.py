@@ -129,11 +129,6 @@ def p_left(ug: UgInstance, u: int) -> Fraction:
     return sum((wt for uu, _, wt, _ in ug.edges if uu == u), ZERO)
 
 
-def incident_right(ug: UgInstance, v: int) -> list:
-    """Edges at a right vertex, in input order."""
-    return [e for e in ug.edges if e[1] == v]
-
-
 def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
     """Vertex ids of ``compose(ug, D)``: ``<left-id>/<cube-vertex-id>``,
     one hypercube copy per left vertex, in left order."""
@@ -321,7 +316,7 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
     decoded = {}
     influence_table = {}
     for v, vid in enumerate(ug.right):
-        incident = incident_right(ug, v)
+        incident = [e for e in ug.edges if e[1] == v]
         mass = sum((wt for _, _, wt, _ in incident), ZERO)
         average = [0.0] * len(D.points)
         for u, _, wt, perm in incident:

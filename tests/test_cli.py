@@ -283,6 +283,24 @@ def test_dict_check(tmp_path, capsys):
     assert "edge 0: solution is not hull-feasible" in err
 
 
+@pytest.mark.parametrize("command", ["dict", "dict-check"])
+def test_zero_weight_bucket_is_exit_3(tmp_path, capsys, command):
+    # u is alone in its bucket at weight 0: no file can record its tilt
+    inst = model.make_instance(2, [F(0), F(1)], vc_edge().predicates,
+                               vc_edge().edges, ["u", "v"])
+    vc = tmp_path / "vc.json"
+    vc.write_text(io.serialize_instance(inst))
+    sol = tmp_path / "x.json"
+    sol.write_text(json.dumps({"x": {"u": 1, "v": 0}}))
+    out_file = tmp_path / "d.json"
+    argv = [command, vc, "--eps", "1/2", "--delta", "1/10", "--r", "1",
+            "--solution", sol] + (["-o", out_file] if command == "dict" else [])
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "hypercube 0 has zero weight" in err
+    assert not out_file.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

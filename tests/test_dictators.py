@@ -5,6 +5,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from smcsp import io
@@ -146,6 +148,21 @@ def test_ternary_dictators():
     assert report["dictator_cost"] == want
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dictator_assignment(_vc_dict(r=2)[2], 2),
+     "coordinate 2 out of range for r=2"),
+    (lambda: dictator_assignment(_vc_dict(r=2)[2], -1),
+     "coordinate -1 out of range for r=2"),
+    (lambda: extract_TJ(generate_dict(ternary_chain(), [(F(0), F(0), F(1))]
+                                      * 3, 1, F(1, 10), F(1, 2)), []),
+     "subset analysis is defined for q = 2 only"),
+])
+def test_bad_input_messages_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # cube-level structure
 # ---------------------------------------------------------------------------
@@ -242,6 +259,35 @@ def test_dict_view_recovers_structure():
     assert view.tilde_values == D.tilde_values
     assert view.points == D.points
     assert view.instance == D.instance
+
+
+@st.composite
+def generated_dicts(draw):
+    """A blowup of a random instance at a snapped hull-feasible point."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    inst = random_instance(rng, draw(st.sampled_from([2, 3])),
+                           draw(st.integers(2, 5)), draw(st.integers(1, 3)))
+    eps = F(1, draw(st.sampled_from([2, 3])))
+    x = perturb(inst, random_feasible_solution(rng, inst), eps).x_eps
+    delta = draw(st.sampled_from([F(1, 10), F(1, 3)]))
+    return inst, x, generate_dict(inst, x, draw(st.integers(1, 2)), delta,
+                                  eps)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(generated_dicts())
+def test_written_blowup_reads_back_as_generated(case):
+    inst, x, D = case
+    view = dict_view(io.parse_instance(io.serialize_instance(D.instance)))
+    for field in ("r", "m", "tilde_values", "bucket_weights", "points"):
+        assert getattr(view, field) == getattr(D, field)
+    # what the file records is the tilt and weight of each source bucket
+    m, values, bucket_of = bucket_map(x)
+    assert D.tilde_values == tuple(tilted_value(D.q, p, D.delta)
+                                   for p in values)
+    assert D.bucket_weights == tuple(
+        sum((w for w, b in zip(inst.weights, bucket_of) if b == c), F(0))
+        for c in range(m))
 
 
 def test_views_have_no_generation_parameters():

@@ -217,3 +217,11 @@ def test_split_validation():
         maximal_correlation(dist, [], [0, 1])
     with pytest.raises(ValueError):
         maximal_correlation(dist, [0, 1], [2, 3])
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_smoothing_needs_delta_strictly_inside(delta):
+    dist = _dist(vc_edge(), [F(1, 2)] * 2)
+    with pytest.raises(ValueError) as exc:
+        smooth(dist, delta)
+    assert str(exc.value) == f"delta must be in (0, 1), got {delta}"

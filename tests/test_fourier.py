@@ -138,3 +138,21 @@ def test_rational_mode_limit_is_a_cap():
 def test_table_length_must_be_power_of_two():
     with pytest.raises(ValueError):
         biased_fourier([F(0), F(1), F(0)], F(1, 2))
+
+
+_TABLE = [F(0), F(1), F(1), F(0)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: influence(_TABLE, 5, F(1, 2)),
+     "coordinate 5 out of range for r=2"),
+    (lambda: conditional_variance_influence([F(0)] * 3, 0, F(1, 2)),
+     "table length 3 is not a power of two"),
+    (lambda: mask_of((0, 2)), "not a boolean string: (0, 2)"),
+    (lambda: biased_fourier(_TABLE, F(1, 2)).influences(-1),
+     "degree bound must be nonnegative"),
+])
+def test_bad_input_messages_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

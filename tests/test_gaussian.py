@@ -79,6 +79,18 @@ def test_gamma_power_iterates_equal_arguments():
     assert gamma_power(0.4, 0.6, 1) == 0.6
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: gamma_recursive([], []), "need at least one mass argument"),
+    (lambda: gamma_recursive([0.5], [0.3]),
+     "1 masses need 0 correlations, got 1"),
+    (lambda: gamma_power(0.5, 0.5, 0), "k must be a positive integer"),
+])
+def test_bad_composition_arguments_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_probability_arguments_validated():
     with pytest.raises(ValueError):
         gamma(0.5, -0.1, 0.5)

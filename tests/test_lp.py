@@ -7,11 +7,14 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import oracles
 from smcsp.lp import (build_lp, check_feasible_fractional, lp_value,
                       solve_lp, standard_hvc_lp, val)
-from smcsp.model import (brute_force_opt, is_covering_predicate, label_point,
-                         point_value, upward_closure)
+from smcsp.model import (Predicate, brute_force_opt, is_covering_predicate,
+                         label_point, make_instance, point_value,
+                         upward_closure)
 from smcsp.randgen import (hvc, random_cover_instance,
                            random_feasible_solution, random_instance,
                            ternary_chain, triangle_cover, vc_edge)
@@ -141,6 +144,18 @@ def test_hull_at_least_standard_lp_on_hypergraphs():
 def test_standard_lp_is_exactly_one_over_k_on_single_edge():
     for k in (2, 3, 4):
         assert standard_hvc_lp(hvc(k)) == F(1, k)
+
+
+@pytest.mark.parametrize("inst, message", [
+    (ternary_chain(), "covering LP is defined for q = 2 only"),
+    (make_instance(2, [F(1, 2)] * 2, [Predicate("both", 2, 2, ((1, 1),))],
+                   [((0, 1), 0)]),
+     "edge predicate both is not the covering predicate"),
+])
+def test_standard_lp_rejects_non_covering_instances(inst, message):
+    with pytest.raises(ValueError) as exc:
+        standard_hvc_lp(inst)
+    assert str(exc.value) == message
 
 
 def test_val_of_integral_points_is_assignment_cost():

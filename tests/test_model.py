@@ -13,7 +13,7 @@ from smcsp import model
 from smcsp.caps import CapExceeded
 from smcsp.fourier import biased_fourier
 from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
-                         cheapest_labeling,
+                         check_point, cheapest_labeling,
                          covering_predicate, is_covering_predicate,
                          is_feasible, label_point, make_instance, mix_points,
                          point_distribution, point_value,
@@ -107,6 +107,17 @@ def test_validate_instance_edge_messages_pinned(edges, expected):
     # built directly, so make_instance's normalization is bypassed
     inst = model.Instance(2, ("u", "v"), (F(1, 2), F(1, 2)),
                           (_PAIR, _TRIPLE), tuple(edges))
+    assert validate_instance(inst) == expected
+
+
+@pytest.mark.parametrize("pred, expected", [
+    (Predicate("", 2, 2, ((0, 1), (1, 0))), ["predicate with empty name"]),
+    (Predicate("t", 2, 3, ((0, 1), (1, 0))),
+     ["predicate t has alphabet 3, instance has 2"]),
+])
+def test_validate_instance_predicate_messages_pinned(pred, expected):
+    inst = model.Instance(2, ("u", "v"), (F(1, 2), F(1, 2)), (pred,),
+                          (Edge((0, 1), 0),))
     assert validate_instance(inst) == expected
 
 
@@ -273,3 +284,24 @@ def test_solution_from_assignments_averages_labels():
     x = solution_from_assignments(inst, [(0, 1), (1, 0)],
                                   [F(1, 2), F(1, 2)])
     assert x == [F(1, 2), F(1, 2)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: covering_predicate(2).accepts((1,)),
+     "predicate cover2: tuple of length 1, arity is 2"),
+    (lambda: check_point(3, (F(1), F(0))),
+     "q=3 expects length-3 tuples, got (Fraction(1, 1), Fraction(0, 1))"),
+    (lambda: check_point(3, (0.5, F(1, 2), F(0))),
+     "distribution (0.5, Fraction(1, 2), Fraction(0, 1)) has non-rational "
+     "entries"),
+    (lambda: solution_from_assignments(vc_edge(), [(0, 1), (1, 0)],
+                                       [F(1, 2), F(1, 3)]),
+     "coefficients must be a convex combination"),
+    (lambda: solution_from_assignments(vc_edge(), [(0, 1), (1, 0)],
+                                       [F(3, 2), F(-1, 2)]),
+     "coefficients must be a convex combination"),
+])
+def test_bad_input_messages_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

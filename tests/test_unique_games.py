@@ -18,7 +18,7 @@ from smcsp.randgen import (random_game, ternary_chain, triangle_cover,
                            twisted_cycle, vc_edge)
 from smcsp.unique_games import (UgInstance, compose, completeness_solution,
                                 composed_vertex_ids, decode_labeling,
-                                edge_satisfied, incident_right, p_left,
+                                edge_satisfied, p_left,
                                 ug_brute_force, ug_satisfied_weight,
                                 validate_ug)
 
@@ -49,6 +49,23 @@ def test_validate_rejects_bad_weights_and_perms():
     assert any("sum" in p for p in validate_ug(bad_weight))
     bad_perm = UgInstance(2, ("a",), ("b",), ((0, 0, F(1), (0, 0)),))
     assert any("bijection" in p for p in validate_ug(bad_perm))
+
+
+@pytest.mark.parametrize("game, expected", [
+    (UgInstance(2, (), ("b",), ()),
+     ["both vertex sides must be nonempty", "game has no edges"]),
+    (UgInstance(2, ("a", "a"), ("b",), ((0, 0, F(1), (0, 1)),)),
+     ["duplicate vertex ids"]),
+    (UgInstance(2, ("a",), ("b",), ((1, 3, F(1), (0, 1)),)),
+     ["edge #0: left index 1 out of range",
+      "edge #0: right index 3 out of range"]),
+])
+def test_validate_ug_messages_pinned(game, expected):
+    assert validate_ug(game) == expected
+    # compose checks the game itself, whoever built it
+    with pytest.raises(ValueError) as exc:
+        compose(game, _vc_dict(r=2))
+    assert str(exc.value) == "invalid game: " + "; ".join(expected)
 
 
 def test_edge_satisfaction_direction():
@@ -90,7 +107,6 @@ def test_twisted_cycle_optimum_is_three_quarters(monkeypatch):
 def test_vertex_masses():
     ug = _twisted_pair()
     assert p_left(ug, 0) == p_left(ug, 1) == F(1, 2)
-    assert len(incident_right(ug, 0)) == 2
 
 
 # ---------------------------------------------------------------------------
