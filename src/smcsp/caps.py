@@ -45,9 +45,21 @@ def cap(name: str) -> int:
 
 
 def check_bits(name: str, count: int, what: str) -> None:
-    """Raise CapExceeded if ``count`` exceeds ``2**cap(name)``."""
+    """Raise CapExceeded if ``count`` exceeds ``2**cap(name)``.
+
+    Compares bit lengths, so a cap of any size builds no number, and
+    names a count too long to print by its size in bits.
+    """
     limit = cap(name)
-    if count > (1 << limit):
-        raise CapExceeded(
-            f"{what}: {count} exceeds 2^{limit} (SMCSP_CAP_{name})"
-        )
+    if count > 1 and (count - 1).bit_length() > limit:
+        try:
+            shown = str(count)
+        except ValueError:  # past the int -> str digit limit
+            shown = f"a {count.bit_length()}-bit number"
+        refuse(name, what, shown)
+
+
+def refuse(name: str, what: str, shown: str) -> None:
+    """Raise CapExceeded for a count, written ``shown``, over cap ``name``."""
+    raise CapExceeded(f"{what}: {shown} exceeds 2^{cap(name)} "
+                      f"(SMCSP_CAP_{name})")

@@ -246,7 +246,10 @@ def _parse_split(text: str, arity: int):
                          f"{text!r}")
     sides = []
     for half in halves:
-        coords = [int(tok) for tok in half.split(",") if tok.strip()]
+        try:
+            coords = [int(tok) for tok in half.split(",") if tok.strip()]
+        except ValueError:
+            coords = []
         if not coords or not all(1 <= c <= arity for c in coords):
             raise ValueError(f"--split coordinates must be in 1..{arity}")
         sides.append([c - 1 for c in coords])
@@ -255,6 +258,8 @@ def _parse_split(text: str, arity: int):
 
 def cmd_analyze_correlation(args) -> int:
     inst = _load_instance(args.instance)
+    if not inst.edges:
+        raise ValueError("--edge: the instance has no edges")
     if not 0 <= args.edge < len(inst.edges):
         raise ValueError(f"--edge must be in 0..{len(inst.edges) - 1}")
     x = _solution_for(args, inst)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .caps import check_bits
+from .caps import cap, check_bits, refuse
 from .distributions import extract_edge_distribution, smooth
 from .fourier import influences, mask_of
 from .lp import val
@@ -135,6 +135,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
 
     q = inst.q
     m, values, bucket_of = bucket_map(x)
+    if r > cap("DICT"):  # m * q**r >= 2**r: refuse before building it
+        refuse("DICT", "hypercube vertex count", f"at least 2^{r}")
     check_bits("DICT", m * q ** r, "hypercube vertex count")
     bucket_weights = [ZERO] * m
     for u, w in enumerate(inst.weights):

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -143,8 +143,13 @@ def is_covering_predicate(pred: Predicate) -> bool:
 # instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A hyperedge *is* its ``(vertices, predicate)`` pair.
+
+    It equals, hashes and sorts as that plain tuple and unpacks as
+    ``vs, p = e``; the names are a view on the two fields.
+    """
+
     vertices: tuple  # vertex indices; repeats are allowed
     predicate: int   # index into Instance.predicates
 
@@ -155,7 +160,7 @@ class Instance:
     vertex_ids: tuple
     weights: tuple       # Fractions, nonnegative, summing to exactly 1
     predicates: tuple    # Predicate objects
-    edges: tuple         # Edge objects
+    edges: tuple         # Edge pairs
 
     @property
     def n(self) -> int:
@@ -172,7 +177,11 @@ def make_instance(
     edges: Sequence,
     vertex_ids: Sequence | None = None,
 ) -> Instance:
-    """Build an Instance from loose data and validate it."""
+    """Build an Instance from loose data and validate it.
+
+    Each edge may be any ``(vertices, predicate)`` pair; it is stored as
+    an ``Edge`` with tuple vertices, and an ``Edge`` passes through as is.
+    """
     weights = tuple([w if type(w) is Fraction else Fraction(w)
                      for w in weights])
     if vertex_ids is None:

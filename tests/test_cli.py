@@ -7,12 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from smcsp import cli, io, model, simplex
+from smcsp import caps, cli, io, model, simplex
 from smcsp.dictators import dict_view, pseudo_random_check
 from smcsp.randgen import vc_edge
 from smcsp.unique_games import (UgInstance, completeness_solution, compose,
@@ -440,6 +441,43 @@ def test_cap_is_exit_4(tmp_path, capsys, monkeypatch):
     assert "SMCSP_CAP_DICT" in err
 
 
+def test_dict_refuses_a_large_r_before_building_its_count(tmp_path, capsys,
+                                                        monkeypatch):
+    # 2 * 2**20000 has more digits than Python prints by default
+    monkeypatch.delenv("SMCSP_CAP_DICT", raising=False)
+    code, _, err = run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps",
+                       "1/2", "--delta", "1/10", "--r", "20000", "-o",
+                       tmp_path / "d.json")
+    assert code == 4
+    assert err == ("error: hypercube vertex count: at least 2^20000 exceeds "
+                   "2^20 (SMCSP_CAP_DICT)\n")
+
+
+def test_cap_of_any_size_builds_no_number(capsys, monkeypatch):
+    monkeypatch.setenv("SMCSP_CAP_ENUM", str(2 ** 70))
+    assert run(capsys, "oracle", FIXTURES / "triangle.json")[0] == 0
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "1000000000")
+    tracemalloc.start()
+    try:
+        caps.check_bits("ENUM", 8, "labeling search space")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cap_names_a_count_too_long_to_print_by_its_bits(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.delenv("SMCSP_CAP_ENUM", raising=False)
+    wide = tmp_path / "wide.json"
+    wide.write_text(io.serialize_instance(
+        model.make_instance(10 ** 3000, [F(1, 2)] * 2, [], [])))
+    code, _, err = run(capsys, "oracle", wide)
+    assert code == 4
+    assert err == ("error: labeling search space: a 19932-bit number "
+                   "exceeds 2^24 (SMCSP_CAP_ENUM)\n")
+
+
 def test_lowered_expand_cap_holds_for_a_cached_accepting_set(capsys,
                                                              monkeypatch):
     monkeypatch.delenv("SMCSP_CAP_EXPAND", raising=False)
@@ -490,6 +528,8 @@ def test_ug_cap_bounds_the_composition(tmp_path, capsys, monkeypatch, cap,
      "--edge must be in 0..0"),
     ({}, ("analyze", "correlation", hvc3(), "--edge", "0", "--split", "1|9"),
      "--split coordinates must be in 1..3"),
+    ({}, ("analyze", "correlation", hvc3(), "--edge", "0", "--split",
+          "1,x|2"), "--split coordinates must be in 1..3"),
 ])
 def test_bad_setting_or_argument_is_exit_3(capsys, monkeypatch, env, argv,
                                            message):
@@ -498,6 +538,16 @@ def test_bad_setting_or_argument_is_exit_3(capsys, monkeypatch, env, argv,
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == f"error: {message}\n"
+
+
+def test_correlation_on_an_edgeless_instance_is_exit_3(tmp_path, capsys):
+    bare = tmp_path / "bare.json"
+    bare.write_text(io.serialize_instance(model.make_instance(2, [F(1)], [],
+                                                              [])))
+    code, _, err = run(capsys, "analyze", "correlation", bare, "--edge", "0",
+                       "--split", "1|2")
+    assert code == 3
+    assert err == "error: --edge: the instance has no edges\n"
 
 
 @pytest.mark.parametrize("module, name, broken, argv, message", [

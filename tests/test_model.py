@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from smcsp import model
+from smcsp import io, model
 from smcsp.caps import CapExceeded
 from smcsp.fourier import biased_fourier
 from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
@@ -119,6 +119,27 @@ def test_validate_instance_predicate_messages_pinned(pred, expected):
     inst = model.Instance(2, ("u", "v"), (F(1, 2), F(1, 2)), (pred,),
                           (Edge((0, 1), 0),))
     assert validate_instance(inst) == expected
+
+
+@pytest.mark.parametrize("pair", [([0, 1], 0), ((0, 1), 0),
+                                  Edge((0, 1), 0)])
+def test_an_edge_is_its_vertices_predicate_pair(pair):
+    e = Edge((0, 1), 0)
+    assert e == ((0, 1), 0) and hash(e) == hash(((0, 1), 0))
+    assert isinstance(e, tuple)
+    vs, p = e
+    assert (vs, p) == ((0, 1), 0)
+    stored, = make_instance(2, [F(1, 2)] * 2, [covering_predicate(2)],
+                            [pair]).edges
+    assert type(stored) is Edge and stored == e
+    assert type(stored.vertices) is tuple
+
+
+def test_make_instance_passes_a_parsed_edge_through():
+    parsed = io.parse_instance(io.serialize_instance(hvc(3)))
+    again = make_instance(parsed.q, parsed.weights, parsed.predicates,
+                          parsed.edges, parsed.vertex_ids)
+    assert [a is b for a, b in zip(again.edges, parsed.edges)] == [True]
 
 
 def test_edges_may_repeat_vertices():
