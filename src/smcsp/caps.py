@@ -35,12 +35,29 @@ def cap(name: str) -> int:
     raw = os.environ.get(f"SMCSP_CAP_{name}")
     if raw is None:
         return default
+    if raw.isascii() and raw.isdigit():
+        return _decimal(raw)
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"SMCSP_CAP_{name} must be an integer, got {raw!r}") from exc
+        shown = raw if len(raw) <= 20 else raw[:20] + "..."
+        raise ValueError(f"SMCSP_CAP_{name} must be an integer, "
+                         f"got {shown!r}") from exc
     if value < 0:
         raise ValueError(f"SMCSP_CAP_{name} must be nonnegative, got {value}")
+    return value
+
+
+def _decimal(digits: str) -> int:
+    """The value of a string of ASCII digits, whatever its length.
+
+    Read in pieces short enough for ``int``'s digit limit, so an
+    override past that limit needs no change of interpreter settings.
+    """
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
     return value
 
 

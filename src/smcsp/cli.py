@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="include lp/round/opt comparison")
 
-    p = add("oracle", cmd_oracle, help="exact optimum by enumeration")
+    p = add("oracle", cmd_oracle,
+            help="exact optimum by branch-and-bound search")
     p.add_argument("instance")
 
     p = add_dict("dict", cmd_dict, help="generate the hypercube instance")

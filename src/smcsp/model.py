@@ -12,14 +12,17 @@ distribution, written for ``q == 2`` as its mass on label 1; the point
 is in the value domain when the distribution lies in the simplex.  Only
 ``point_distribution`` and its inverse know the ``q == 2`` convention.
 
-Every exhaustive minimization in the package goes through one exact
-search, ``cheapest_labeling``: the cheapest feasible labeling,
-lexicographically least on ties.  It checks its own ``q**n`` budget
-against the ENUM cap.  ``brute_force_opt`` runs it on the instance
-itself.  Bucket rounding and the hypercube-constant optimum run it on a
-quotient built by ``collapse``, which merges each group of vertices
-into one, so labelings of the quotient are exactly the labelings
-constant on the groups.
+Every exact minimization in the package goes through one search,
+``cheapest_labeling``: the cheapest feasible labeling, lexicographically
+least on ties.  It is a depth-first branch-and-bound over the leading
+vertices, cut where upward closure shows no feasible completion or
+where the partial cost reaches the best found, with the last vertices
+checked as one numpy block at each leaf.  It checks its own ``q**n``
+search space against the ENUM cap.  ``brute_force_opt`` runs it on the
+instance itself.  Bucket rounding and the hypercube-constant optimum
+run it on a quotient built by ``collapse``, which merges each group of
+vertices into one, so labelings of the quotient are exactly the
+labelings constant on the groups.
 """
 
 from __future__ import annotations
@@ -299,21 +302,31 @@ def collapse(inst: Instance, part_of: Sequence[int]) -> Instance:
 
 
 # one vectorized pass covers at most this many labelings
-_BLOCK = 1 << 16
+_BLOCK = 1 << 12
 
 
 def cheapest_labeling(inst: Instance):
     """Exact search: ``(min cost, lexicographically least optimal labeling)``.
 
     Labelings are read in mixed radix with vertex 0 most significant.
-    The last ``k`` vertices form a block of ``q**k <= 2**16`` labelings
+    The last ``k`` vertices form a block of ``q**k <= _BLOCK`` labelings
     that numpy checks at once, through one lookup table per edge on its
-    local tuple; the leading vertices are iterated in lexicographic
-    order.  Costs are exact integers, the weights times the lcm of their
-    denominators, held as int64 when ``(q-1) * lcm < 2**62`` and as
-    Python ints otherwise.  The first argmin within a block and a strict
-    ``<`` across blocks keep the lexicographically least optimum.  The
-    ``q**n`` labelings are bounded by the ENUM cap (log2 budget).
+    local tuple.  The leading ``h = n - k`` vertices are searched depth
+    first with an explicit stack, labels ascending, and a branch is cut
+    in two ways.  Feasibility: when vertex ``v`` takes a label, every
+    edge that touches it and reaches before the block is checked with
+    each later vertex at the top label ``q-1``; predicates are upward
+    closed, so this rejects exactly the prefixes with no feasible
+    completion.  Cost: weights are nonnegative, so ``v``'s label loop
+    stops at the first label whose partial cost reaches the best cost
+    found.  Leaves come in lexicographic order, and the first argmin
+    within a block with a strict ``<`` across blocks keeps the
+    lexicographically least optimum.  When ``q**n <= _BLOCK`` the search
+    is that one block.  Costs are exact integers, the weights times the
+    lcm of their denominators, held as int64 when
+    ``(q-1) * lcm < 2**62`` and as Python ints otherwise.  The ``q**n``
+    search space is bounded by the ENUM cap (log2 budget); the nodes
+    visited are fewer.
     """
     n, q = inst.n, inst.q
     check_bits("ENUM", q ** n, "labeling search space")
@@ -333,6 +346,8 @@ def cheapest_labeling(inst: Instance):
         low_cost += digits[v - h].astype(dtype) * int_w[v]
     ok_low = np.ones(len(block), dtype=bool)  # edges inside the block
     prefix_edges = []  # (table, block part of the index, prefix part)
+    # checks[v]: (table, labeled part, the rest at q-1) per edge at v
+    checks = [[] for _ in range(h)]
     for e in inst.edges:
         pred = inst.predicate_of(e)
         radix = [q ** (pred.arity - 1 - j) for j in range(pred.arity)]
@@ -342,27 +357,51 @@ def cheapest_labeling(inst: Instance):
         low = sum(digits[v - h] * r for v, r in zip(e.vertices, radix)
                   if v >= h)
         high = [(v, r) for v, r in zip(e.vertices, radix) if v < h]
-        if high:
-            prefix_edges.append((table, low, high))
-        else:
+        if not high:
             ok_low &= table[low]
+            continue
+        prefix_edges.append((table, low, high))
+        flat = table.tolist()
+        for v in {u for u, _ in high}:
+            checks[v].append((
+                flat,
+                [(u, r) for u, r in high if u <= v],
+                sum((q - 1) * r for u, r in zip(e.vertices, radix)
+                    if u > v)))
 
     best = best_labels = None
-    for prefix in itertools.product(range(q), repeat=h):
-        ok = ok_low.copy()
-        for table, low, high in prefix_edges:
-            # shift the small table rather than add to the block-long
-            # index: that would allocate a block-long array per edge
-            ok &= table[sum(prefix[v] * r for v, r in high):][low]
-        hits = np.flatnonzero(ok)
-        if hits.size == 0:
+    labels = [-1] * h  # labels[u] for u < v; -1: none tried yet
+    cost = [0] * (h + 1)  # cost[u]: the cost of labels[:u]
+    v = 0  # the vertex taking its next label, h at a leaf
+    while v >= 0:
+        if v == h:
+            ok = ok_low.copy()
+            for table, low, high in prefix_edges:
+                # shift the small table rather than add to the block-long
+                # index: that would allocate a block-long array per edge
+                ok &= table[sum(labels[u] * r for u, r in high):][low]
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                i = int(hits[np.argmin(low_cost[hits])])
+                total = cost[h] + int(low_cost[i])
+                if best is None or total < best:
+                    best = total
+                    best_labels = tuple(labels) + tuple(
+                        i // q ** (k - 1 - j) % q for j in range(k))
+            v -= 1
             continue
-        i = int(hits[np.argmin(low_cost[hits])])
-        cost = sum(a * w for a, w in zip(prefix, int_w)) + int(low_cost[i])
-        if best is None or cost < best:
-            best = cost
-            best_labels = prefix + tuple(i // q ** (k - 1 - j) % q
-                                         for j in range(k))
+        a = labels[v] + 1
+        if a == q or best is not None and cost[v] + a * int_w[v] >= best:
+            labels[v] = -1
+            v -= 1
+            continue
+        labels[v] = a
+        for table, fixed, top in checks[v]:
+            if not table[top + sum(labels[u] * r for u, r in fixed)]:
+                break
+        else:
+            cost[v + 1] = cost[v] + a * int_w[v]
+            v += 1
     if best is None:
         raise PropertyViolation("no feasible assignment (upward-closed "
                                 "predicates should always accept the "

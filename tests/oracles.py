@@ -267,6 +267,68 @@ def opt_by_enumeration(q: int, weights: list, edges: list):
     return best, best_lab
 
 
+def cheapest_labeling_exhaustive(q: int, weights: list, edges: list):
+    """Every labeling, in numpy blocks: the package's search before it
+    pruned, kept as the reference for the branch-and-bound kernel.
+
+    ``weights`` are Fractions and ``edges`` ``(vertex_tuple,
+    minimal_elements)`` pairs.  Labelings are read in mixed radix with
+    vertex 0 most significant; the last ``k`` vertices form a block of
+    ``q**k <= 2**16`` labelings checked at once through one lookup
+    table per edge, and all ``q**h`` prefixes of the leading vertices
+    are visited in lexicographic order.  The first argmin in a block and
+    a strict ``<`` across blocks keep the lexicographically least
+    optimum.  Returns ``(value, labels)``; ``(None, None)`` when nothing
+    is feasible.
+    """
+    n = len(weights)
+    scale = math.lcm(*(w.denominator for w in weights))
+    int_w = [w.numerator * (scale // w.denominator) for w in weights]
+    dtype = np.int64 if (q - 1) * scale < 1 << 62 else object
+    k = n
+    while q ** k > 1 << 16:
+        k -= 1
+    h = n - k
+    block = np.arange(q ** k)
+    digits = [block // q ** (n - 1 - v) % q for v in range(h, n)]
+
+    low_cost = np.zeros(len(block), dtype=dtype)
+    for v in range(h, n):
+        low_cost += digits[v - h].astype(dtype) * int_w[v]
+    ok_low = np.ones(len(block), dtype=bool)
+    prefix_edges = []
+    for verts, minimal in edges:
+        arity = len(verts)
+        radix = [q ** (arity - 1 - j) for j in range(arity)]
+        table = np.zeros(q ** arity, dtype=bool)
+        for t in accepted_tuples(q, minimal):
+            table[sum(a * r for a, r in zip(t, radix))] = True
+        low = sum(digits[v - h] * r for v, r in zip(verts, radix) if v >= h)
+        high = [(v, r) for v, r in zip(verts, radix) if v < h]
+        if high:
+            prefix_edges.append((table, low, high))
+        else:
+            ok_low &= table[low]
+
+    best = best_labels = None
+    for prefix in itertools.product(range(q), repeat=h):
+        ok = ok_low.copy()
+        for table, low, high in prefix_edges:
+            ok &= table[sum(prefix[v] * r for v, r in high):][low]
+        hits = np.flatnonzero(ok)
+        if hits.size == 0:
+            continue
+        i = int(hits[np.argmin(low_cost[hits])])
+        cost = sum(a * w for a, w in zip(prefix, int_w)) + int(low_cost[i])
+        if best is None or cost < best:
+            best = cost
+            best_labels = prefix + tuple(i // q ** (k - 1 - j) % q
+                                         for j in range(k))
+    if best is None:
+        return None, None
+    return Fraction(best, scale), best_labels
+
+
 def round_by_enumeration(q: int, weights: list, snapped: list, edges: list):
     """Best assignment constant on groups of equal snapped values.
 

@@ -466,6 +466,34 @@ def test_cap_of_any_size_builds_no_number(capsys, monkeypatch):
     assert peak < 1 << 20
 
 
+def test_cap_override_past_the_int_digit_limit(capsys, monkeypatch):
+    # 5000 digits is past int()'s default parse limit, and allows any search
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "1" * 5000)
+    code, out, _ = run(capsys, "oracle", FIXTURES / "triangle.json")
+    assert (code, out.splitlines()[0]) == (0, "2/3")
+    assert caps.cap("ENUM") == (10 ** 5000 - 1) // 9
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "1" * 4999 + "x")
+    code, _, err = run(capsys, "oracle", FIXTURES / "triangle.json")
+    assert code == 3
+    assert err == ("error: SMCSP_CAP_ENUM must be an integer, got "
+                   "'11111111111111111111...'\n")
+
+
+def test_oracle_on_thousands_of_free_vertices(tmp_path, capsys,
+                                              monkeypatch):
+    # 2**2000 labelings, and the first leaf the search reaches is the
+    # optimum: the search returns at once, and no recursion runs deep
+    monkeypatch.setenv("SMCSP_CAP_ENUM", "4000")
+    free = tmp_path / "free.json"
+    free.write_text(io.serialize_instance(
+        model.make_instance(2, [F(1, 2000)] * 2000, [], [])))
+    code, out, _ = run(capsys, "oracle", free, "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert F(doc["opt"]) == 0
+    assert set(doc["labels"].values()) == {0} and len(doc["labels"]) == 2000
+
+
 def test_cap_names_a_count_too_long_to_print_by_its_bits(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.delenv("SMCSP_CAP_ENUM", raising=False)

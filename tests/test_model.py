@@ -19,8 +19,8 @@ from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
                          point_distribution, point_value,
                          solution_from_assignments,
                          upward_closure, validate_instance)
-from smcsp.randgen import (hvc, random_instance, ternary_chain,
-                           triangle_cover, vc_edge)
+from smcsp.randgen import (hvc, random_cover_instance, random_instance,
+                           ternary_chain, triangle_cover, vc_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,73 @@ def test_kernel_matches_enumeration_oracle(inst, block):
         assert cheapest_labeling(inst) == _oracle_opt(inst)
 
 
+def _exhaustive(inst):
+    edges = [(e.vertices, [list(m) for m in inst.predicate_of(e).minimal])
+             for e in inst.edges]
+    return oracles.cheapest_labeling_exhaustive(inst.q, list(inst.weights),
+                                                edges)
+
+
+@st.composite
+def larger_instances(draw):
+    # past small_instances: up to 2**14, 3**9 and 4**7 labelings, with
+    # zero weights, repeated vertices, arity-1 predicates and no edges
+    q = draw(st.sampled_from([2, 3, 4]))
+    top = {2: 14, 3: 9, 4: 7}[q]
+    n = draw(st.integers(1, top) | st.integers(top - 2, top))
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] += 1
+    weights = [F(w, sum(weights)) for w in weights]
+    predicates, edges = [], []
+    for i in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(1, 3))
+        tuples = st.tuples(*[st.integers(0, q - 1)] * arity)
+        gens = draw(st.sets(tuples, min_size=1, max_size=3))
+        predicates.append(Predicate(f"p{i}", arity, q, tuple(sorted(
+            t for t in gens
+            if not any(s != t and all(a <= b for a, b in zip(s, t))
+                       for s in gens)))))
+    for _ in range(draw(st.integers(0, 2 * n) | st.integers(n, 2 * n))):
+        p = draw(st.integers(0, len(predicates) - 1))
+        verts = draw(st.lists(st.integers(0, n - 1),
+                              min_size=predicates[p].arity,
+                              max_size=predicates[p].arity))
+        edges.append((tuple(verts), p))
+    return make_instance(q, weights, predicates, edges)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(larger_instances(), st.sampled_from([1, 64, model._BLOCK]))
+def test_search_matches_the_exhaustive_kernel(inst, block):
+    # the pruned search returns what visiting every labeling returns:
+    # the same cost and the same lexicographically least witness
+    with mock.patch.object(model, "_BLOCK", block):
+        assert cheapest_labeling(inst) == _exhaustive(inst)
+
+
+def _rising_matching_cover(n):
+    weights = [F(i + 1) for i in range(n)]
+    weights = [w / sum(weights) for w in weights]
+    return make_instance(2, weights, [covering_predicate(2)],
+                         [((2 * i, 2 * i + 1), 0) for i in range(n // 2)])
+
+
+@pytest.mark.parametrize("inst", [
+    _rising_matching_cover(20),
+    random_cover_instance(random.Random(1), 20, 40, 3),
+    random_cover_instance(random.Random(2), 20, 40, 3),
+], ids=["rising-matching-cover", "cover3-s1", "cover3-s2"])
+def test_search_matches_the_exhaustive_kernel_on_hard_families(inst):
+    # with weights rising by index, the branches searched first (the
+    # lower vertex of a pair at 0) are the costly ones; 3-uniform covers
+    # leave most prefixes feasible: little is pruned in either
+    got = cheapest_labeling(inst)
+    assert got == _exhaustive(inst)
+    assert is_feasible(inst, got[1])
+
+
 def test_brute_force_boolean_fast_path_agrees():
-    # 16 boolean vertices fill exactly one 2**16 block of the search
+    # 16 boolean vertices: four searched vertices over 2**12 blocks
     rng = random.Random(9)
     weights = [F(1, 16)] * 16
     pred = covering_predicate(2)
