@@ -36,26 +36,9 @@ from .unique_games import (compose, composed_cubes, decode_labeling,
 ZERO = Fraction(0)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return io.format_rational(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _pretty(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _emit(args, doc: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(_jsonable(doc), indent=2))
+        print(json.dumps(io.to_json(doc), indent=2))
     else:
         print(human)
 
@@ -85,12 +68,6 @@ def _tau(args) -> Fraction:
     return io.parse_rational(args.tau, "--tau") if args.tau else ZERO
 
 
-def _format_point(q, pt) -> str:
-    if q == 2:
-        return _pretty(pt)
-    return "(" + ", ".join(_pretty(a) for a in pt) + ")"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,9 +77,11 @@ def cmd_lp(args) -> int:
     sol = solve_lp(inst)
     doc = {"objective": sol.objective,
            "x": {vid: sol.x[v] for v, vid in enumerate(inst.vertex_ids)}}
-    lines = [_pretty(sol.objective)]
-    for v, vid in enumerate(inst.vertex_ids):
-        lines.append(f"x[{vid}] = {_format_point(inst.q, sol.x[v])}")
+    lines = [str(sol.objective)]
+    for vid, pt in zip(inst.vertex_ids, sol.x):
+        if not isinstance(pt, Fraction):  # a point of q rationals
+            pt = "(" + ", ".join(map(str, pt)) + ")"
+        lines.append(f"x[{vid}] = {pt}")
     if args.lambdas:
         doc["lambdas"] = [
             {"edge": e_idx, "atoms": {"".join(map(str, t)): p
@@ -110,7 +89,7 @@ def cmd_lp(args) -> int:
             for e_idx, lam in enumerate(sol.lambdas)]
         for e_idx, lam in enumerate(sol.lambdas):
             for t, p in sorted(lam.items()):
-                lines.append(f"edge {e_idx}: {t} -> {_pretty(p)}")
+                lines.append(f"edge {e_idx}: {t} -> {p}")
     _emit(args, doc, "\n".join(lines))
     return 0
 
@@ -127,17 +106,16 @@ def cmd_round(args) -> int:
         value, labels = result.value, result.labels
     doc = {"value": value,
            "labels": {vid: int(a) for vid, a in zip(inst.vertex_ids, labels)}}
-    lines = [_pretty(value)]
+    lines = [str(value)]
     lines += [f"{vid} = {a}" for vid, a in zip(inst.vertex_ids, labels)]
     if args.report:
         doc["report"] = rep
-        lines.append(f"lp = {_pretty(rep['lp'])}")
-        lines.append(f"round = {_pretty(rep['round'])}")
-        lines.append(f"opt = {_pretty(rep['opt'])}")
+        lines.append(f"lp = {rep['lp']}")
+        lines.append(f"round = {rep['round']}")
+        lines.append(f"opt = {rep['opt']}")
         for key in ("round_over_opt", "opt_over_lp"):
             ratio = rep[key]
-            lines.append(f"{key} = " + (_pretty(ratio)
-                                        if ratio is not None else "n/a"))
+            lines.append(f"{key} = {'n/a' if ratio is None else ratio}")
     _emit(args, doc, "\n".join(lines))
     return 0
 
@@ -148,7 +126,7 @@ def cmd_oracle(args) -> int:
     doc = {"opt": opt,
            "labels": {vid: int(a) for vid, a in zip(inst.vertex_ids,
                                                     labels)}}
-    lines = [_pretty(opt)]
+    lines = [str(opt)]
     lines += [f"{vid} = {a}" for vid, a in zip(inst.vertex_ids, labels)]
     _emit(args, doc, "\n".join(lines))
     return 0
@@ -173,8 +151,7 @@ def cmd_dict(args) -> int:
            "dictator_weight": dictator_weight(D)}
     human = (f"wrote {args.output}: {doc['vertices']} vertices, "
              f"{doc['edges']} constraints, {D.m} cubes, r={D.r}, "
-             f"dictator weight "
-             f"{_pretty(doc['dictator_weight'])}")
+             f"dictator weight {doc['dictator_weight']}")
     _emit(args, doc, human)
     return 0
 
@@ -192,10 +169,9 @@ def cmd_dict_check(args) -> int:
            "bucket_constant_opt": bco, "round_value": rounded,
            "bucket_labels": list(bucket_labels)}
     human = (f"dictators: all {D.r} feasible at exact cost "
-             f"{_pretty(report['dictator_cost'])} "
-             f"(bound {_pretty(report['bound'])})\n"
-             f"cube-constant optimum = rounding value = "
-             f"{_pretty(bco)}")
+             f"{report['dictator_cost']} "
+             f"(bound {report['bound']})\n"
+             f"cube-constant optimum = rounding value = {bco}")
     _emit(args, doc, human)
     return 0
 
@@ -226,7 +202,7 @@ def cmd_decode(args) -> int:
            "influences": table}
     lines = [f"{vid} = {labels[vid]}"
              for vid in list(game.left) + list(game.right)]
-    lines.append(f"satisfied weight: {_pretty(satisfied)}")
+    lines.append(f"satisfied weight: {satisfied}")
     _emit(args, doc, "\n".join(lines))
     return 0
 
@@ -268,7 +244,7 @@ def cmd_analyze_correlation(args) -> int:
         dist = smooth(dist, io.parse_rational(args.delta, "--delta"))
     side1, side2 = _parse_split(args.split, dist.arity)
     report = cheeger_check(dist, side1, side2)
-    human = (f"alpha = {_pretty(report['alpha'])}\n"
+    human = (f"alpha = {report['alpha']}\n"
              f"rho = {report['rho']:.9f}\n"
              f"bound = {report['bound']:.9f}\n"
              f"connected = {report['connected']}\n"
@@ -288,12 +264,11 @@ def cmd_analyze_influences(args) -> int:
     report = pseudo_random_check(D, labels, tau, d)
     lines = []
     for b, row in enumerate(report["influences"]):
-        pretty = ", ".join(_pretty(v) for v in row)
-        lines.append(f"cube {b}: {pretty}")
+        lines.append(f"cube {b}: {', '.join(map(str, row))}")
     lines.append(f"max influence = "
-                 f"{_pretty(report['max_influence'])} at "
+                 f"{report['max_influence']} at "
                  f"{report['argmax']}")
-    lines.append(f"pseudo-random (tau={_pretty(tau)}, d={d}): "
+    lines.append(f"pseudo-random (tau={tau}, d={d}): "
                  f"{report['pseudo_random']}")
     _emit(args, report, "\n".join(lines))
     return 0

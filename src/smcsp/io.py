@@ -80,6 +80,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def to_json(value):
+    """``value`` as JSON data, each ``Fraction`` as its ``num/den`` string:
+    the one writer of exact values into a JSON document."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer",
                str: "a string", float: "a number", bool: "a boolean",
                type(None): "null"}
@@ -249,12 +261,7 @@ def parse_solution(text: str, inst: Instance) -> list:
 
 
 def serialize_solution(inst: Instance, x: Sequence[Point]) -> str:
-    table = {}
-    for vid, pt in zip(inst.vertex_ids, x):
-        if inst.q == 2:
-            table[vid] = format_rational(pt)
-        else:
-            table[vid] = [format_rational(a) for a in pt]
+    table = to_json(dict(zip(inst.vertex_ids, x)))
     return json.dumps({"x": table}, indent=2) + "\n"
 
 

@@ -31,15 +31,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .model import PropertyViolation
+
 ZERO = Fraction(0)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-class SimplexError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -161,8 +159,8 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
             if a:
                 cost[j] -= a * k
     obj = [cost, _reduce(cost, d)]
-    if not _bland_loop(rows, dens, basis, obj, n):
-        raise SimplexError("phase 1 unbounded")  # the sum is bounded below
+    if not _bland_loop(rows, dens, basis, obj, n):  # the sum is bounded below
+        raise PropertyViolation("phase 1 unbounded")
     if obj[0][-1] != 0:
         return SimplexResult(INFEASIBLE, None, None, None)
 

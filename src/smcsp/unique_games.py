@@ -15,7 +15,9 @@ hypercube, and labels each side by the most influential coordinate.
 Both read the one composed layout: ``composed_vertex_ids`` names the
 vertices, ``composed_weights`` weighs them and ``_twist_tables`` wires
 copy u through pi; ``composed_cubes`` reads a composed instance back
-against it.
+against it.  Every per-vertex quantity (the edges at a left or a right
+vertex, a left vertex's edge mass) reads the one grouping pass
+``_by_vertex``, so no step rescans the game per vertex.
 """
 
 from __future__ import annotations
@@ -124,9 +126,17 @@ def ug_brute_force(ug: UgInstance):
     return best, best_labels
 
 
-def p_left(ug: UgInstance, u: int) -> Fraction:
-    """Total weight of edges at a left vertex (a probability mass)."""
-    return sum((wt for uu, _, wt, _ in ug.edges if uu == u), ZERO)
+def _by_vertex(ug: UgInstance):
+    """The one pass over ``ug.edges``: each left and each right vertex's
+    edges, in edge order, and each left vertex's edge mass (a
+    probability mass)."""
+    at_left = [[] for _ in ug.left]
+    at_right = [[] for _ in ug.right]
+    for e in ug.edges:
+        at_left[e[0]].append(e)
+        at_right[e[1]].append(e)
+    masses = [sum((e[2] for e in edges), ZERO) for edges in at_left]
+    return at_left, at_right, masses
 
 
 def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
@@ -139,8 +149,7 @@ def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
 def composed_weights(ug: UgInstance, D: DictInstance) -> list:
     """Vertex weights of ``compose(ug, D)``: vertex (u, b, y) weighs
     p_u * w_D(b, y), where p_u is the edge mass at u."""
-    masses = [p_left(ug, u) for u in range(ug.n_left)]
-    return [masses[u] * w for u in range(ug.n_left)
+    return [mass * w for mass in _by_vertex(ug)[2]
             for w in D.instance.weights]
 
 
@@ -155,8 +164,9 @@ def composed_cubes(ug: UgInstance, F: Instance,
     """
     if D is None:
         # a valid game's edge masses sum to 1, so some left vertex has mass
-        u = next(u for u in range(ug.n_left) if p_left(ug, u) > 0)
-        mass, prefix = p_left(ug, u), ug.left[u] + "/"
+        mass, u = next((mass, u) for u, mass in enumerate(_by_vertex(ug)[2])
+                       if mass > 0)
+        prefix = ug.left[u] + "/"
         copy = [(vid[len(prefix):], w / mass)
                 for vid, w in zip(F.vertex_ids, F.weights)
                 if vid.startswith(prefix)]
@@ -211,9 +221,8 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
     base = D.instance
     cube = len(base.vertex_ids)
     check_bits("UG", ug.n_left * cube, "composed vertex count")
-    incident = [[] for _ in range(ug.n_right)]
-    for u, v, _, perm in ug.edges:
-        incident[v].append(tables[u, perm])
+    incident = [[tables[u, perm] for u, _, _, perm in edges]
+                for edges in _by_vertex(ug)[1]]
     check_bits("UG", sum(len(combos) ** len(edge.vertices)
                          for edge in base.edges for combos in incident),
                "composed constraint tuples")
@@ -251,13 +260,14 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
     check_game_labeling(ug, labels)
     if F is None:
         F = compose(ug, D)
-    missed = {e[0] for e in ug.edges
-              if e[2] > 0 and not edge_satisfied(ug, e, labels)}
+    at_left, _, masses = _by_vertex(ug)
+    missed = [any(e[2] > 0 and not edge_satisfied(ug, e, labels)
+                  for e in edges) for edges in at_left]
     q = D.q
     cube = len(D.points)
     assignment = []
-    for u, uid in enumerate(ug.left):
-        if u in missed:
+    for uid, miss in zip(ug.left, missed):
+        if miss:
             assignment.extend([q - 1] * cube)
         else:
             assignment.extend(dictator_assignment(D, labels[uid]))
@@ -266,8 +276,8 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
         raise PropertyViolation("completeness assignment violates a "
                                 "constraint")
     weight = assignment_cost(F, assignment)
-    mass_sat = sum((p_left(ug, u) for u in range(ug.n_left)
-                    if u not in missed), ZERO)
+    mass_sat = sum((mass for mass, miss in zip(masses, missed) if not miss),
+                   ZERO)
     mass_rest = 1 - mass_sat
     dw = dictator_weight(D)
     identity = dw * mass_sat + (q - 1) * mass_rest
@@ -310,13 +320,13 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
         raise ValueError(f"labeling has {len(labels)} entries, the composed "
                          f"instance has {n} vertices")
     pulled = {key: [labels[i] for i in table] for key, table in tables.items()}
+    at_left, at_right, _ = _by_vertex(ug)
     r = D.r
     if d is None:
         d = r
     decoded = {}
     influence_table = {}
-    for v, vid in enumerate(ug.right):
-        incident = [e for e in ug.edges if e[1] == v]
+    for vid, incident in zip(ug.right, at_right):
         mass = sum((wt for _, _, wt, _ in incident), ZERO)
         average = [0.0] * len(D.points)
         for u, _, wt, perm in incident:
@@ -336,8 +346,7 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
         candidates = [i for i in range(r) if per_i[i] >= tau]
         decoded[vid] = (min(candidates, key=lambda i: (-per_i[i], i))
                         if candidates else 0)
-    for u, uid in enumerate(ug.left):
-        incident = [e for e in ug.edges if e[0] == u]
+    for uid, incident in zip(ug.left, at_left):
         if not incident:
             decoded[uid] = 0
             continue

@@ -12,11 +12,12 @@ that honestly rather than papering over it.
 import pytest
 
 from smcsp import acceptance
+from smcsp.model import PropertyViolation
 
 
 @pytest.mark.parametrize(
     "cid", range(1, len(acceptance.CRITERIA) + 1),
-    ids=[f.__name__ for f in acceptance.CRITERIA])
+    ids=[fn.__name__ for fn, _ in acceptance.CRITERIA])
 def test_criterion(cid):
     reports = acceptance.run([cid])
     assert len(reports) == 1
@@ -34,6 +35,18 @@ def test_render_counts_passes():
     text = acceptance.render(reports)
     assert "[PASS]" in text and "[FAIL]" in text
     assert text.rstrip().endswith("1/2 criteria passed")
+
+
+def test_a_criterion_that_raises_keeps_its_title(monkeypatch):
+    def broken(D):
+        raise PropertyViolation("dictator 0 costs too much")
+
+    monkeypatch.setattr(acceptance, "completeness_check", broken)
+    report, = acceptance.run([7])
+    assert report["title"] == "coordinate labelings: feasible, exact cost"
+    assert not report["passed"]
+    assert report["details"] == ("assertion failed: dictator 0 costs too "
+                                 "much")
 
 
 def test_criterion_10_details_leave_the_time_to_seconds(monkeypatch):

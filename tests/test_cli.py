@@ -181,9 +181,9 @@ def test_decode_tau_is_rational(tmp_path, capsys):
         assert code == 0
         labels, table = decode_labeling(game, D, selection, tau=tau)
         assert labels["R0"] == r0
-        assert json.loads(out) == cli._jsonable({"labels": labels,
-                                                 "satisfied_weight": F(1),
-                                                 "influences": table})
+        assert json.loads(out) == io.to_json({"labels": labels,
+                                              "satisfied_weight": F(1),
+                                              "influences": table})
     for tau in ("0.5", "nan"):
         code, out, err = run(capsys, *base, "--tau", tau)
         assert (code, out) == (3, "")
@@ -354,7 +354,7 @@ def test_analyze_influences(tmp_path, capsys):
     biased = dataclasses.replace(D, tilde_values=(F(1, 3),) * D.m)
     report = pseudo_random_check(biased, dictator_assignment(D, 1), F(0),
                                  D.r)
-    assert json.loads(out) == cli._jsonable(report)
+    assert json.loads(out) == io.to_json(report)
     # a bias outside [0, 1] is no measure: it used to print zeros and True
     for p in ("3/2", "-1/3"):
         code, out, err = run(capsys, "analyze", "influences", dict_file,
@@ -585,12 +585,14 @@ def test_correlation_on_an_edgeless_instance_is_exit_3(tmp_path, capsys):
      ("lp", hvc3()), "hull relaxation did not solve to optimality"),
     ("model", "upward_closure", lambda pred: (), ("oracle", hvc3()),
      "no feasible assignment"),
+    ("simplex", "_bland_loop", lambda *args: False, ("lp", hvc3()),
+     "phase 1 unbounded"),
 ])
 def test_broken_invariant_is_exit_1(capsys, monkeypatch, module, name,
                                     broken, argv, message):
-    # both LPs are feasible and bounded, and every upward-closed
-    # predicate accepts the all-top labeling; a fault that breaks either
-    # fact is reported as a property, not a traceback
+    # both LPs are feasible and bounded, phase 1 is bounded below, and
+    # every upward-closed predicate accepts the all-top labeling; a fault
+    # that breaks any of these is reported as a property, not a traceback
     monkeypatch.setattr(globals()[module], name, broken)
     code, _, err = run(capsys, *argv)
     assert code == 1

@@ -15,8 +15,7 @@ from scipy.optimize import linprog
 import oracles
 from smcsp import io, lp, randgen
 from smcsp.rounding import perturb
-from smcsp.simplex import (SimplexError, find_feasible_point,
-                           solve_standard_form)
+from smcsp.simplex import find_feasible_point, solve_standard_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -147,10 +146,6 @@ def test_negative_rhs_is_normalized():
     res = solve_standard_form([[F(-1)]], [F(-3)], [F(1)])
     assert res.status == "optimal"
     assert res.values == [F(3)]
-
-
-def test_simplex_error_type_exists():
-    assert issubclass(SimplexError, RuntimeError)
 
 
 # odd denominators above 2**65: the reduced fraction keeps a

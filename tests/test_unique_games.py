@@ -1,5 +1,6 @@
 """Bijection games: satisfaction, composition, decoding."""
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction as F
@@ -17,10 +18,10 @@ from smcsp.model import brute_force_opt, solution_from_assignments
 from smcsp.randgen import (random_game, ternary_chain, triangle_cover,
                            twisted_cycle, vc_edge)
 from smcsp.unique_games import (UgInstance, compose, completeness_solution,
-                                composed_vertex_ids, decode_labeling,
-                                edge_satisfied, p_left,
-                                ug_brute_force, ug_satisfied_weight,
-                                validate_ug)
+                                composed_cubes, composed_vertex_ids,
+                                composed_weights, decode_labeling,
+                                edge_satisfied, ug_brute_force,
+                                ug_satisfied_weight, validate_ug)
 
 
 def _vc_dict(r, delta=F(1, 10)):
@@ -105,8 +106,49 @@ def test_twisted_cycle_optimum_is_three_quarters(monkeypatch):
 
 
 def test_vertex_masses():
-    ug = _twisted_pair()
-    assert p_left(ug, 0) == p_left(ug, 1) == F(1, 2)
+    # each copy weighs its left vertex's edge mass times the cube weights
+    D = _vc_dict(r=2)
+    weights = composed_weights(_twisted_pair(), D)
+    half = [F(1, 2) * w for w in D.instance.weights]
+    assert weights == half + half
+
+
+class _CountingEdges(tuple):
+    """A game's edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _passes_per_step(n):
+    """Passes each step makes over the edges of a game on n + n vertices."""
+    game, planted = random_game(random.Random(n), 2, n, n)
+    D = _vc_dict(r=2)
+    composed = compose(game, D)
+    selection, _ = completeness_solution(game, planted, D, composed)
+    steps = {
+        "compose": lambda g: compose(g, D),
+        "composed_weights": lambda g: composed_weights(g, D),
+        "composed_cubes": lambda g: composed_cubes(g, composed),
+        "completeness_solution":
+            lambda g: completeness_solution(g, planted, D, composed),
+        "decode_labeling": lambda g: decode_labeling(g, D, selection),
+    }
+    passes = {}
+    for name, step in steps.items():
+        edges = _CountingEdges(game.edges)
+        step(dataclasses.replace(game, edges=edges))
+        passes[name] = edges.passes
+    return passes
+
+
+def test_no_step_rescans_the_game_per_vertex():
+    small = _passes_per_step(10)
+    assert all(small.values())
+    assert _passes_per_step(1000) == small
 
 
 # ---------------------------------------------------------------------------
