@@ -3,10 +3,12 @@
 ``generate_dict`` turns an instance plus a fractional solution into a
 new instance on vertices (b, y): one hypercube [q]^r per distinct
 solution value, weighted by a product measure tilted toward the top
-label.  Every r-tuple of support atoms of the smoothed edge
-distribution contributes one hyperedge, so the construction is a
-deterministic enumeration rather than a sampler.  The one phase-1 solve
-per edge that yields its distribution also decides hull feasibility.
+label.  It is the blowup of I' = ``collapse(inst, bucket_of)``, one
+vertex per distinct value in first-occurrence order, so it depends only
+on I' and those values.  Every r-tuple of support atoms of an edge's
+smoothed distribution contributes one hyperedge, so the construction is
+a deterministic enumeration rather than a sampler.  One phase-1 solve
+per edge of I' yields its distribution and decides hull feasibility.
 
 The key identities, checked where cheap (a failure raises
 ``PropertyViolation``, also under ``python -O``) and tested everywhere:
@@ -114,9 +116,10 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     ``x`` must be hull-feasible and every entry must already sit on the
     eps-grid (the caller snaps first).  Its shape and value domain are
     checked before the grid, and an infeasible ``x`` raises
-    ``ValueError`` naming the first edge that fails, before any DICT cap
-    is checked.  Returns ``dict_view`` of the built instance with the
-    generation parameters set, so a zero-weight bucket raises there.
+    ``ValueError`` naming the first edge of ``inst`` that fails, before
+    any DICT cap is checked.  The blowup is built from I' alone.  Returns
+    ``dict_view`` of the built instance with the generation parameters
+    set, so a zero-weight bucket raises there.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -130,43 +133,42 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
            if snap != pt]
     if off:
         raise ValueError(f"solution entries off the eps-grid: {off}")
-    dists = [extract_edge_distribution(inst, x, e_idx)
-             for e_idx in range(len(inst.edges))]
 
     q = inst.q
     m, values, bucket_of = bucket_map(x)
+    first = {}  # edge of I' -> its first source edge, which errors name
+    for e_idx, e in enumerate(inst.edges):
+        first.setdefault((tuple(bucket_of[v] for v in e.vertices),
+                          e.predicate), e_idx)
+    dists = {edge: extract_edge_distribution(inst, x, e_idx)
+             for edge, e_idx in first.items()}
     if r > cap("DICT"):  # m * q**r >= 2**r: refuse before building it
         refuse("DICT", "hypercube vertex count", f"at least 2^{r}")
     check_bits("DICT", m * q ** r, "hypercube vertex count")
-    bucket_weights = [ZERO] * m
-    for u, w in enumerate(inst.weights):
-        bucket_weights[bucket_of[u]] += w
+    supports = {}
+    for edge, e_idx in first.items():
+        supports[edge] = [atom for atom, _ in smooth(dists[edge], delta).atoms]
+        check_bits("DICT", len(supports[edge]) ** r,
+                   f"support tuples of edge #{e_idx}")
+    quotient = collapse(inst, bucket_of)
     tilde = tuple(tilted_value(q, p, delta) for p in values)
 
     points = _cube_points(m, q, r)
-    weights = [cube_measure(q, tilde[b], y) * bucket_weights[b]
+    weights = [cube_measure(q, tilde[b], y) * quotient.weights[b]
                for b, y in points]
     ids = [dict_vertex_id(b, y) for b, y in points]
     index = {pt: i for i, pt in enumerate(points)}
 
-    edge_set = set()
-    for e_idx, (edge, dist) in enumerate(zip(inst.edges, dists)):
-        dist = smooth(dist, delta)
-        support = [atom for atom, _ in dist.atoms]
-        check_bits("DICT", len(support) ** r,
-                   f"support tuples of edge #{e_idx}")
-        k = len(edge.vertices)
-        for draws in itertools.product(support, repeat=r):
-            verts = tuple(
-                index[(bucket_of[edge.vertices[j]],
-                       tuple(draws[t][j] for t in range(r)))]
-                for j in range(k))
-            edge_set.add((verts, edge.predicate))
-    edges = sorted(edge_set)
+    edges = []  # distinct edges of I' give distinct hyperedges
+    for edge in quotient.edges:
+        for draws in itertools.product(supports[edge], repeat=r):
+            verts = tuple(index[(b, tuple(draw[j] for draw in draws))]
+                          for j, b in enumerate(edge.vertices))
+            edges.append((verts, edge.predicate))
 
-    out = make_instance(q, weights, inst.predicates, edges, ids)
+    out = make_instance(q, weights, inst.predicates, sorted(edges), ids)
     return replace(dict_view(out), delta=delta, eps=eps,
-                   source_value=val(inst, x))
+                   source_value=val(quotient, values))
 
 
 def require_generated(D: DictInstance) -> None:

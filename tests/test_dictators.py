@@ -1,5 +1,6 @@
 """Hypercube blowup: generation, dictator costs, cube-level checks."""
 
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from smcsp import io
+from smcsp import distributions, io
 from smcsp.caps import CapExceeded
 from smcsp.dictators import (bucket_constant_opt, bucket_map,
                              completeness_check, cube_measure,
@@ -18,9 +19,12 @@ from smcsp.dictators import (bucket_constant_opt, bucket_map,
                              extract_TJ, generate_dict,
                              parse_dict_vertex_id, pseudo_random_check,
                              tilted_value)
-from smcsp.model import (assignment_cost, brute_force_opt, is_feasible,
-                         make_instance, solution_from_assignments)
-from smcsp.randgen import (hvc, random_feasible_solution, random_instance,
+from smcsp.lp import edge_mixture
+from smcsp.model import (assignment_cost, brute_force_opt, collapse,
+                         covering_predicate, is_feasible, make_instance,
+                         solution_from_assignments)
+from smcsp.randgen import (hvc, random_cover_instance,
+                           random_feasible_solution, random_instance,
                            random_subset_labels, ternary_chain, vc_edge)
 from smcsp.rounding import perturb, round_solution
 from smcsp.unique_games import UgInstance, completeness_solution
@@ -30,6 +34,11 @@ def _vc_dict(r=2, delta=F(1, 10), eps=F(1, 2)):
     inst = vc_edge()
     x = [F(1, 2), F(1, 2)]
     return inst, x, generate_dict(inst, x, r, delta, eps)
+
+
+# the complete 3-uniform cover on 4 vertices: its edges merge in I'
+K4_3 = make_instance(2, [F(1, 4)] * 4, [covering_predicate(3)],
+                     [(t, 0) for t in itertools.combinations(range(4), 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +123,77 @@ def test_generation_cap(monkeypatch):
         generate_dict(inst, x, 12, F(1, 10), F(1, 2))
 
 
+def test_support_cap_names_the_first_source_edge(monkeypatch):
+    # edge 2 = (0, 2, 3) has 5 smoothed atoms; in I' it is edge 0
+    monkeypatch.setenv("SMCSP_CAP_DICT", "6")
+    with pytest.raises(CapExceeded) as exc:
+        generate_dict(K4_3, [F(1, 2), F(1), F(1, 2), F(1, 2)], 3, F(1, 10),
+                      F(1, 2))
+    assert str(exc.value) == ("support tuples of edge #2: 125 exceeds 2^6 "
+                              "(SMCSP_CAP_DICT)")
+
+
+def test_hull_failure_comes_before_a_later_edges_expand_cap(monkeypatch):
+    # the 3-ary edge sorts first in I', and its accepting set is over
+    # the EXPAND cap; the earlier 2-ary edge is not hull-feasible
+    inst = make_instance(2, [F(1, 4)] * 4,
+                         [covering_predicate(2), covering_predicate(3)],
+                         [((3, 2), 0), ((0, 1, 2), 1)])
+    monkeypatch.setenv("SMCSP_CAP_EXPAND", "2")
+    with pytest.raises(ValueError) as exc:
+        generate_dict(inst, [F(1, 2), F(1, 2), F(0), F(0)], 1, F(1, 10),
+                      F(1, 2))
+    assert str(exc.value) == "edge 0: solution is not hull-feasible"
+
+
+def test_one_phase1_solve_per_quotient_edge(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return edge_mixture(*args)
+
+    monkeypatch.setattr(distributions, "edge_mixture", counted)
+    x = [F(1, 2), F(1), F(1, 2), F(1, 2)]
+    generate_dict(K4_3, x, 1, F(1, 10), F(1, 2))
+    assert len(calls) == len(collapse(K4_3, bucket_map(x)[2]).edges) == 3
+
+
+@st.composite
+def snapped_sources(draw, covers=True):
+    """A random or covering instance with a snapped hull-feasible point;
+    ``random_instance`` gives each edge its own predicate, so covers are
+    where edges merge in I'."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arity = draw(st.sampled_from([None, 2, 3])) if covers else None
+    if arity is None:
+        inst = random_instance(rng, draw(st.sampled_from([2, 3])),
+                               draw(st.integers(2, 5)),
+                               draw(st.integers(1, 3)))
+    else:
+        inst = random_cover_instance(rng, draw(st.integers(arity + 1, 6)),
+                                     draw(st.integers(3, 12)), arity)
+    eps = F(1, draw(st.sampled_from([2, 3])))
+    x = perturb(inst, random_feasible_solution(rng, inst), eps).x_eps
+    return inst, x, eps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(snapped_sources(), st.integers(1, 2),
+       st.sampled_from([F(1, 10), F(1, 3)]))
+def test_blowup_is_the_blowup_of_the_quotient(case, r, delta):
+    inst, x, eps = case
+    _, values, bucket_of = bucket_map(x)
+    quotient = collapse(inst, bucket_of)
+    D = generate_dict(inst, x, r, delta, eps)
+    D_quotient = generate_dict(quotient, list(values), r, delta, eps)
+    assert (io.serialize_instance(D.instance)
+            == io.serialize_instance(D_quotient.instance))
+    assert D.source_value == D_quotient.source_value
+    # and the blowup collapses back to I'
+    assert collapse(D.instance, [b for b, _ in D.points]) == quotient
+
+
 # ---------------------------------------------------------------------------
 # dictators
 # ---------------------------------------------------------------------------
@@ -156,6 +236,11 @@ def test_ternary_dictators():
     (lambda: extract_TJ(generate_dict(ternary_chain(), [(F(0), F(0), F(1))]
                                       * 3, 1, F(1, 10), F(1, 2)), []),
      "subset analysis is defined for q = 2 only"),
+    # only edge 3 = (1, 2, 3) falls short, and it is edge 2 of I':
+    # errors name the source edge
+    (lambda: generate_dict(K4_3, [F(1), F(0), F(0), F(1, 2)], 2,
+                           F(1, 10), F(1, 2)),
+     "edge 3: solution is not hull-feasible"),
 ])
 def test_bad_input_messages_pinned(call, message):
     with pytest.raises(ValueError) as exc:
@@ -264,11 +349,7 @@ def test_dict_view_recovers_structure():
 @st.composite
 def generated_dicts(draw):
     """A blowup of a random instance at a snapped hull-feasible point."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    inst = random_instance(rng, draw(st.sampled_from([2, 3])),
-                           draw(st.integers(2, 5)), draw(st.integers(1, 3)))
-    eps = F(1, draw(st.sampled_from([2, 3])))
-    x = perturb(inst, random_feasible_solution(rng, inst), eps).x_eps
+    inst, x, eps = draw(snapped_sources(covers=False))
     delta = draw(st.sampled_from([F(1, 10), F(1, 3)]))
     return inst, x, generate_dict(inst, x, draw(st.integers(1, 2)), delta,
                                   eps)
