@@ -12,7 +12,7 @@ Gaussian closed form) are documented where they occur.
 """
 
 from .caps import CapExceeded, cap
-from .model import (Instance, Predicate, Edge, covering_predicate,
+from .model import (Instance, Predicate, Edge, EdgeRows, covering_predicate,
                     make_instance, validate_instance, assignment_cost,
                     is_feasible, brute_force_opt, check_solution,
                     upward_closure)
@@ -47,7 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "cap",
-    "Instance", "Predicate", "Edge", "covering_predicate", "make_instance",
+    "Instance", "Predicate", "Edge", "EdgeRows", "covering_predicate",
+    "make_instance",
     "validate_instance", "assignment_cost", "is_feasible", "brute_force_opt",
     "check_solution", "upward_closure",
     "LpSolution", "build_lp", "solve_lp", "lp_value", "val",

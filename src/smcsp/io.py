@@ -41,9 +41,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .model import (Edge, Instance, Point, Predicate, check_solution,
+import numpy as np
+
+from .model import (EdgeRows, Instance, Point, Predicate, check_solution,
                     make_instance, validate_assignment)
-from .unique_games import UgInstance, validate_ug
+from .unique_games import UgInstance
 
 
 class ParseError(ValueError):
@@ -167,19 +169,21 @@ def parse_instance(text: str) -> Instance:
 
     index_of = {vid: i for i, vid in enumerate(ids)}
     by_name = {p.name: i for i, p in enumerate(predicates)}
-    edges = []
+    vertices, sizes, preds = [], [], []
     for i, e in enumerate(_typed(doc["edges"], list, "edges")):
         try:
             vids = e["vertices"]
             # the checks below name the fault; a string would iterate as ids
             if e.keys() != _EDGE_KEYS or type(vids) is not list:
                 raise TypeError
-            edges.append(Edge(tuple([index_of[vid] for vid in vids]),
-                              by_name[e["predicate"]]))
+            vertices.extend([index_of[vid] for vid in vids])
+            preds.append(by_name[e["predicate"]])
         except (KeyError, TypeError):
             _expect_keys(e, _EDGE_KEYS, f"edge #{i}")
             raise _edge_error(f"edge #{i}", e, index_of, by_name) from None
-    return _validated(make_instance, q, weights, predicates, edges, ids)
+        sizes.append(len(vids))
+    return _validated(make_instance, q, weights, predicates,
+                      EdgeRows.from_flat(vertices, sizes, preds), ids)
 
 
 def _edge_error(what: str, e: dict, index_of: dict, by_name: dict):
@@ -206,7 +210,8 @@ def serialize_instance(inst: Instance) -> str:
     Each vertex id and predicate name is encoded once with ``json.dumps``
     and reused in every edge.  The few predicates go through
     ``json.dumps`` itself, shifted one level in; that is exact because a
-    JSON string never holds a raw newline.
+    JSON string never holds a raw newline.  An edge's text is one piece
+    per column of its row, gathered from the rows by numpy indexing.
     """
     ids = [json.dumps(vid) for vid in inst.vertex_ids]
     names = [json.dumps(p.name) for p in inst.predicates]
@@ -218,17 +223,41 @@ def serialize_instance(inst: Instance) -> str:
                              "minimal": [list(m) for m in sorted(p.minimal)]},
                             indent=2).replace("\n", "\n    ")
         for p in inst.predicates]
-    sep = ",\n        "
-    edges = [
-        '    {\n      "vertices": '
-        + ("[\n        " + sep.join([ids[v] for v in e.vertices])
-           + "\n      ]" if e.vertices else "[]")
-        + ',\n      "predicate": ' + names[e.predicate] + "\n    }"
-        for e in inst.edges]
+    edges = _edge_texts(inst.edges, ids, names)
     return (f'{{\n  "q": {json.dumps(inst.q)},\n'
             f'  "vertices": {_top_list(vertices)},\n'
             f'  "predicates": {_top_list(predicates)},\n'
             f'  "edges": {_top_list(edges)}\n}}\n')
+
+
+def _edge_texts(edges: EdgeRows, ids: list, names: list) -> list:
+    """The laid-out text of each edge, gathered from the rows.
+
+    An edge's text is one piece per column of its row.  Piece 0 opens the
+    edge with its first vertex, piece j adds vertex j, and the last piece
+    closes the edge with its predicate name, without ``]`` when the edge
+    has no vertices.  A vertex slot past the edge's size reads entry
+    ``len(ids)``: ``[]`` in slot 0, the empty text after it.
+    """
+    rows, sizes = edges.rows, edges.sizes
+    width = max(rows.shape[1] - 1, 1)
+    slots = np.where(np.arange(width) < sizes[:, None], rows[:, :width],
+                     len(ids))
+    opening = np.array(['    {\n      "vertices": [\n        ' + vid
+                        for vid in ids] + ['    {\n      "vertices": []'],
+                       dtype=object)
+    later = np.array([",\n        " + vid for vid in ids] + [""],
+                     dtype=object)
+    # closing[0, p] after vertices, closing[1, p] after none
+    closing = np.array([['\n      ],\n      "predicate": ' + name + "\n    }"
+                         for name in names],
+                        [',\n      "predicate": ' + name + "\n    }"
+                         for name in names]], dtype=object)
+    pieces = np.empty((len(rows), width + 1), dtype=object)
+    pieces[:, 0] = opening[slots[:, 0]]
+    pieces[:, 1:-1] = later[slots[:, 1:]]
+    pieces[:, -1] = closing[(sizes == 0).astype(np.int64), rows[:, -1]]
+    return list(map("".join, pieces.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +339,8 @@ def parse_ug(text: str) -> UgInstance:
                      for a in _typed(e["pi"], list, f"{what}: pi"))
         edges.append((left_of[u], right_of[v], wt, perm))
     ug = UgInstance(r, tuple(left), tuple(right), tuple(edges))
-    problems = validate_ug(ug)
-    if problems:
-        raise ParseError("invalid unique game: " + "; ".join(problems))
+    if ug.problems:
+        raise ParseError("invalid unique game: " + "; ".join(ug.problems))
     return ug
 
 

@@ -3,7 +3,9 @@
 An instance consists of weighted vertices (weights are exact rationals
 summing to one), an ordered alphabet ``{0, ..., q-1}``, and hyperedges.
 Each hyperedge carries a predicate whose accepting set is upward closed
-in the coordinatewise order and is stored by its minimal elements.  An
+in the coordinatewise order and is stored by its minimal elements.  The
+hyperedges are stored as the rows of one integer array (``EdgeRows``);
+an ``Edge`` pair is the view that readers walking them get.  An
 assignment maps every vertex to a label; it is feasible when every edge
 tuple is accepted, and its cost is the weight-average of its labels.
 
@@ -29,9 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -150,20 +153,170 @@ class Edge(NamedTuple):
     """A hyperedge *is* its ``(vertices, predicate)`` pair.
 
     It equals, hashes and sorts as that plain tuple and unpacks as
-    ``vs, p = e``; the names are a view on the two fields.
+    ``vs, p = e``; the names are a view on the two fields.  An
+    instance stores its edges as ``EdgeRows``, and ``Edge`` is the view
+    that readers walking the edges get.
     """
 
     vertices: tuple  # vertex indices; repeats are allowed
     predicate: int   # index into Instance.predicates
 
 
+def _indices(values) -> np.ndarray:
+    """``values`` as a 1-d ``int64`` array; anything but integers that
+    fit in ``int64`` raises ``ValueError``, so no float becomes an index."""
+    a = np.array(values) if len(values) else np.zeros(0, dtype=np.int64)
+    if a.ndim != 1 or a.dtype.kind not in "bi":
+        raise ValueError("edge vertex and predicate indices must be "
+                         "integers within int64")
+    return a.astype(np.int64, copy=False)
+
+
+def _rows_of(vertices, sizes, predicates) -> tuple:
+    """``(rows, sizes)`` of edges given by their vertex indices end to
+    end, their vertex counts and their predicate indices."""
+    sizes = _indices(sizes)
+    width = int(sizes.max()) if len(sizes) else 0
+    rows = np.full((len(sizes), width + 1), -1, dtype=np.int64)
+    rows[:, -1] = _indices(predicates)
+    rows[:, :-1][np.arange(width) < sizes[:, None]] = _indices(vertices)
+    return rows, sizes
+
+
+# fewer edges than this stay Python pairs until their rows are asked for:
+# below it numpy's cost per call outweighs a Python pass over the edges
+_ROWS_FROM = 256
+
+
+class EdgeRows(Sequence):
+    """An instance's edges as the rows of one ``int64`` array.
+
+    Row ``i`` of ``rows`` is edge ``i``'s vertex indices, padded with -1
+    to the widest edge, then its predicate index.  ``sizes[i]`` is the
+    edge's vertex count, kept apart from the padding because a hand-built
+    invalid edge may hold -1 itself.  On edges with indices >= 0 the
+    lexicographic order of the rows is the order of the
+    ``(vertices, predicate)`` tuples: -1 sorts a vertex tuple before every
+    longer one it prefixes.  So ``distinct`` sorts and dedupes edges of
+    mixed arity with one row sort.
+
+    As a sequence it is the ``Edge`` pairs.  Edges held as rows build
+    that view on first use.  Edges held as pairs (from ``of``, or fewer
+    than ``_ROWS_FROM`` from ``from_flat``) build their rows on first
+    use, so building, checking and searching a small instance makes no
+    numpy call per edge list.  Equality reads the rows.
+    """
+
+    __slots__ = ("_rows", "_sizes", "_edges")
+
+    def __init__(self, rows: np.ndarray | None = None,
+                 sizes: np.ndarray | None = None,
+                 edges: tuple | None = None):
+        self._rows, self._sizes, self._edges = rows, sizes, edges
+
+    @classmethod
+    def of(cls, pairs) -> EdgeRows:
+        """``(vertices, predicate)`` pairs, kept as ``Edge`` values with
+        tuple vertices; an ``Edge`` is kept as is."""
+        return cls(edges=tuple([e if type(e) is Edge
+                                else Edge(tuple(e[0]), e[1])
+                                for e in pairs]))
+
+    @classmethod
+    def from_flat(cls, vertices: list, sizes: list,
+                  predicates: list) -> EdgeRows:
+        """Edges given by their vertex indices end to end, their vertex
+        counts and their predicate indices, all Python ints."""
+        if len(sizes) >= _ROWS_FROM:
+            return cls(*_rows_of(vertices, sizes, predicates))
+        it = iter(vertices)
+        return cls(edges=tuple([Edge(tuple(itertools.islice(it, k)), p)
+                                for k, p in zip(sizes, predicates)]))
+
+    @classmethod
+    def distinct(cls, rows: np.ndarray, sizes: np.ndarray) -> EdgeRows:
+        """The distinct rows in lexicographic order, which on indices
+        >= 0 is the sorted order of their ``(vertices, predicate)``
+        tuples."""
+        order = np.lexsort(rows.T[::-1])
+        rows, sizes = rows[order], sizes[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return cls(rows[first], sizes[first])
+
+    @property
+    def held_as_rows(self) -> bool:
+        """Whether the rows exist: built from rows, or built since."""
+        return self._rows is not None
+
+    def _arrays(self) -> tuple:
+        if self._rows is None:
+            edges = self._edges
+            self._rows, self._sizes = _rows_of(
+                [v for e in edges for v in e.vertices],
+                [len(e.vertices) for e in edges],
+                [e.predicate for e in edges])
+        return self._rows, self._sizes
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._arrays()[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self._arrays()[1]
+
+    def _view(self) -> tuple:
+        if self._edges is None:
+            self._edges = tuple([
+                Edge(tuple(row[:size]), row[-1])
+                for row, size in zip(self._rows.tolist(),
+                                     self._sizes.tolist())])
+        return self._edges
+
+    def __len__(self) -> int:
+        return len(self._view() if self._rows is None else self._sizes)
+
+    def __getitem__(self, i):
+        return self._view()[i]
+
+    def __iter__(self):
+        return iter(self._view())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not EdgeRows:
+            return NotImplemented
+        return (np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.rows.shape, self.rows.tobytes(),
+                     self.sizes.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"EdgeRows({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Instance:
+    """A weighted instance over the alphabet ``{0, ..., q-1}``.
+
+    ``edges`` is an ``EdgeRows``: the edges as rows of one integer array,
+    which ``compose``, ``validate_instance`` and the file reader and
+    writer work on directly, with the ``Edge`` pairs as its view.  Given
+    any other sequence of ``(vertices, predicate)`` pairs, the instance
+    stores ``EdgeRows.of`` them.
+    """
+
     q: int
     vertex_ids: tuple
     weights: tuple       # Fractions, nonnegative, summing to exactly 1
     predicates: tuple    # Predicate objects
-    edges: tuple         # Edge pairs
+    edges: EdgeRows
+
+    def __post_init__(self):
+        if type(self.edges) is not EdgeRows:
+            object.__setattr__(self, "edges", EdgeRows.of(self.edges))
 
     @property
     def n(self) -> int:
@@ -182,8 +335,8 @@ def make_instance(
 ) -> Instance:
     """Build an Instance from loose data and validate it.
 
-    Each edge may be any ``(vertices, predicate)`` pair; it is stored as
-    an ``Edge`` with tuple vertices, and an ``Edge`` passes through as is.
+    ``edges`` is an ``EdgeRows``, kept as is, or any sequence of
+    ``(vertices, predicate)`` pairs (see ``Instance``).
     """
     weights = tuple([w if type(w) is Fraction else Fraction(w)
                      for w in weights])
@@ -191,8 +344,6 @@ def make_instance(
         vertex_ids = tuple(f"v{i}" for i in range(len(weights)))
     else:
         vertex_ids = tuple(vertex_ids)
-    edges = tuple([e if type(e) is Edge else Edge(tuple(e[0]), e[1])
-                   for e in edges])
     inst = Instance(q, vertex_ids, weights, tuple(predicates), edges)
     problems = validate_instance(inst)
     if problems:
@@ -232,6 +383,9 @@ def validate_instance(inst: Instance) -> list:
             )
     n = len(inst.vertex_ids)
     arities = [p.arity for p in inst.predicates]
+    # rows are checked as arrays; pairs, objects already, one at a time
+    if inst.edges.held_as_rows and _edges_fit(inst.edges, arities, n):
+        return problems
     for i, e in enumerate(inst.edges):
         p, vs = e.predicate, e.vertices
         if not (0 <= p < len(arities)):
@@ -246,6 +400,22 @@ def validate_instance(inst: Instance) -> list:
             problems.extend(f"edge {i}: vertex index {v} out of range"
                             for v in vs if not (0 <= v < n))
     return problems
+
+
+def _edges_fit(edges: EdgeRows, arities: list, n: int) -> bool:
+    """Whether every predicate index, vertex count and vertex index of
+    the rows is in place, checked with array operations; the per-edge
+    loop of ``validate_instance`` runs only to word what is not."""
+    rows, sizes = edges.rows, edges.sizes
+    if not len(sizes):
+        return True
+    preds = rows[:, -1]
+    if preds.min() < 0 or preds.max() >= len(arities):
+        return False
+    if (np.array(arities)[preds] != sizes).any():
+        return False
+    vertices = rows[:, :-1][np.arange(rows.shape[1] - 1) < sizes[:, None]]
+    return not len(vertices) or (vertices.min() >= 0 and vertices.max() < n)
 
 
 # ---------------------------------------------------------------------------

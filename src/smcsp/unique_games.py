@@ -25,13 +25,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .caps import check_bits
 from .dictators import (DictInstance, cube_influences, cube_tables, dict_view,
                         dictator_assignment, dictator_weight,
                         require_generated)
-from .model import (Instance, PropertyViolation, assignment_cost,
+from .model import (EdgeRows, Instance, PropertyViolation, assignment_cost,
                     is_feasible, make_instance)
 
 ZERO = Fraction(0)
@@ -53,6 +56,13 @@ class UgInstance:
     @property
     def n_right(self) -> int:
         return len(self.right)
+
+    @cached_property
+    def problems(self) -> tuple:
+        """``validate_ug(self)``, run once per game: a game is immutable,
+        so the file reader's check also serves ``compose`` and
+        ``decode_labeling``."""
+        return tuple(validate_ug(self))
 
 
 def validate_ug(ug: UgInstance) -> list:
@@ -188,23 +198,27 @@ def composed_cubes(ug: UgInstance, F: Instance,
     return D
 
 
-def _twist_tables(ug: UgInstance, D: DictInstance) -> dict:
+def _twist_tables(ug: UgInstance, D: DictInstance) -> tuple:
     """Copy u wired through pi, for each distinct (u, pi) of the edges.
 
-    Maps (u, pi) to a list from the dict-vertex index of (b, y) to the
-    composed index of (u, b, y o pi), where (y o pi)_t = y_{pi(t)}.
+    Returns ``(row_of, tables)``.  Row ``row_of[u, pi]`` of the ``int64``
+    array ``tables`` maps the dict-vertex index of (b, y) to the composed
+    index of (u, b, y o pi), where (y o pi)_t = y_{pi(t)}.
     """
     if D.r != ug.r:
         raise ValueError(f"label ranges differ: game has r={ug.r}, "
                          f"hypercubes have r={D.r}")
-    problems = validate_ug(ug)
-    if problems:
-        raise ValueError("invalid game: " + "; ".join(problems))
+    if ug.problems:
+        raise ValueError("invalid game: " + "; ".join(ug.problems))
     cube = len(D.points)
     index_of = {pt: i for i, pt in enumerate(D.points)}
-    return {(u, perm): [u * cube + index_of[b, tuple([y[t] for t in perm])]
-                        for b, y in D.points]
-            for u, perm in {(u, perm) for u, _, _, perm in ug.edges}}
+    row_of = {}
+    for u, _, _, perm in ug.edges:
+        row_of.setdefault((u, perm), len(row_of))
+    tables = np.array([[u * cube + index_of[b, tuple([y[t] for t in perm])]
+                        for b, y in D.points] for u, perm in row_of],
+                      dtype=np.int64).reshape(len(row_of), cube)
+    return row_of, tables
 
 
 def compose(ug: UgInstance, D: DictInstance) -> Instance:
@@ -215,28 +229,43 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
     at u, so total weight stays 1.  For a source constraint on points
     (b_j, y_j) and game edges e_1..e_k at a common right vertex, the
     composed constraint joins (u_{e_j}, b_j, y_j o pi_{e_j}) where
-    (y o pi)_t = y_{pi(t)}.
+    (y o pi)_t = y_{pi(t)}.  The constraints are built as ``EdgeRows``:
+    per arity k and right vertex, one gather through the twist tables
+    makes the rows of every source constraint with every k-tuple of
+    incident edges, and ``EdgeRows.distinct`` sorts and dedupes them all
+    with one row sort, in ``(vertices, predicate)`` tuple order.  No
+    ``Edge`` is built.
     """
-    tables = _twist_tables(ug, D)
-    base = D.instance
-    cube = len(base.vertex_ids)
+    row_of, tables = _twist_tables(ug, D)
+    base = D.instance.edges
+    cube = len(D.instance.vertex_ids)
     check_bits("UG", ug.n_left * cube, "composed vertex count")
-    incident = [[tables[u, perm] for u, _, _, perm in edges]
+    incident = [[row_of[u, perm] for u, _, _, perm in edges]
                 for edges in _by_vertex(ug)[1]]
-    check_bits("UG", sum(len(combos) ** len(edge.vertices)
-                         for edge in base.edges for combos in incident),
+    check_bits("UG", sum(len(at_v) ** size for size in base.sizes.tolist()
+                         for at_v in incident),
                "composed constraint tuples")
 
-    edge_set = set()
-    for edge in base.edges:
-        dvs, pred = edge.vertices, edge.predicate
-        for combos in incident:
-            for combo in itertools.product(combos, repeat=len(dvs)):
-                edge_set.add((tuple([t[dv] for t, dv in zip(combo, dvs)]),
-                              pred))
-    edges = sorted(edge_set)
-    return make_instance(base.q, composed_weights(ug, D), base.predicates,
-                         edges, composed_vertex_ids(ug, D))
+    width = base.rows.shape[1]  # the vertex columns and the predicate
+    rows = [np.zeros((0, width), dtype=np.int64)]
+    sizes = [np.zeros(0, dtype=np.int64)]
+    for k in np.unique(base.sizes).tolist():
+        source = base.rows[base.sizes == k]
+        for at_v in incident:
+            # picks[t, j]: the table of the j-th game edge of k-tuple t
+            picks = np.array(list(itertools.product(at_v, repeat=k)),
+                             dtype=np.int64).reshape(-1, k)
+            block = np.full((len(source), len(picks), width), -1,
+                            dtype=np.int64)
+            for j in range(k):
+                block[:, :, j] = tables[picks[:, j], source[:, j, None]]
+            block[:, :, -1] = source[:, -1, None]
+            rows.append(block.reshape(-1, width))
+            sizes.append(np.full(len(rows[-1]), k, dtype=np.int64))
+    edges = EdgeRows.distinct(np.concatenate(rows), np.concatenate(sizes))
+    return make_instance(D.q, composed_weights(ug, D),
+                         D.instance.predicates, edges,
+                         composed_vertex_ids(ug, D))
 
 
 def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
@@ -314,12 +343,12 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
     """
     if D.q != 2:
         raise ValueError("decoding is defined for q = 2 only")
-    tables = _twist_tables(ug, D)
+    row_of, tables = _twist_tables(ug, D)
     n = ug.n_left * len(D.points)
     if len(labels) != n:
         raise ValueError(f"labeling has {len(labels)} entries, the composed "
                          f"instance has {n} vertices")
-    pulled = {key: [labels[i] for i in table] for key, table in tables.items()}
+    pulled = [[labels[i] for i in table] for table in tables.tolist()]
     at_left, at_right, _ = _by_vertex(ug)
     r = D.r
     if d is None:
@@ -333,7 +362,7 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
             if wt == 0:
                 continue
             coeff = float(wt / mass)
-            for i, a in enumerate(pulled[u, perm]):
+            for i, a in enumerate(pulled[row_of[u, perm]]):
                 average[i] += coeff * (1 - a)
         per_i = [0.0] * r
         rows = [cube_influences(table, float(tilt), d)

@@ -613,3 +613,25 @@ def serialize_instance_dumps(inst) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def instance_edge_problems(inst) -> list:
+    """The edge messages of ``validate_instance``, one edge at a time.
+
+    Reads ``inst.edges`` as ``(vertices, predicate)`` pairs, so hand-built
+    edges with any indices are worded as the package words them.
+    """
+    problems = []
+    n = len(inst.vertex_ids)
+    arities = [p.arity for p in inst.predicates]
+    for i, (vs, p) in enumerate(inst.edges):
+        if not (0 <= p < len(arities)):
+            problems.append(f"edge {i}: predicate index {p} out of range")
+            continue
+        if len(vs) != arities[p]:
+            problems.append(
+                f"edge {i}: {len(vs)} vertices but predicate "
+                f"{inst.predicates[p].name} has arity {arities[p]}")
+        problems.extend(f"edge {i}: vertex index {v} out of range"
+                        for v in vs if not (0 <= v < n))
+    return problems

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from smcsp import caps, cli, io, model, simplex
+from smcsp import caps, cli, io, model, simplex, unique_games
 from smcsp.dictators import dict_view, pseudo_random_check
 from smcsp.randgen import vc_edge
 from smcsp.unique_games import (UgInstance, completeness_solution, compose,
@@ -254,6 +254,66 @@ def test_decode_rejects_a_game_with_other_r(tmp_path, capsys, with_dict):
                        (1, 0, F(1, 2), (1, 2, 0))))
     err = _decode_error(tmp_path, capsys, game, with_dict=with_dict)
     assert "label ranges differ: game has r=3, hypercubes have r=2" in err
+
+
+def test_each_command_validates_its_game_once(tmp_path, capsys,
+                                              monkeypatch):
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
+    calls = []
+    check = unique_games.validate_ug
+    # every name the validator is looked up by
+    for module in (io, unique_games):
+        if getattr(module, "validate_ug", None) is check:
+            monkeypatch.setattr(module, "validate_ug",
+                                lambda ug: calls.append(ug) or check(ug))
+    for argv in (["reduce", "--ug", game_file, "--dict", dict_file, "-o",
+                  tmp_path / "again.json"],
+                 ["decode", "--f", composed_file, "--solution", sel_file,
+                  "--ug", game_file, "--dict", dict_file]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv[0]
+
+
+# a script that decodes with every edge list held as rows, as a large
+# composed file is, rather than as the pairs a small one stays
+_DECODE_AS_ROWS = ("import sys\n"
+                   "from smcsp import cli, model\n"
+                   "model._ROWS_FROM = 0\n"
+                   "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("optimized", [False, True])
+@pytest.mark.parametrize("as_rows", [False, True])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda e: e["vertices"].__setitem__(1, "nope"),
+     "error: edge #3: unknown vertex id 'nope'\n"),
+    (lambda e: e["vertices"].pop(),
+     "error: invalid instance: edge 3: 1 vertices but predicate cover2 "
+     "has arity 2\n")])
+def test_decode_checks_the_composed_edges(tmp_path, capsys, monkeypatch,
+                                          corrupt, message, as_rows,
+                                          optimized):
+    """decode reads no composed edge, yet still refuses a file whose
+    edges are broken, held as pairs or as rows, also under ``-O``."""
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
+    doc = json.loads(composed_file.read_text())
+    corrupt(doc["edges"][3])
+    composed_file.write_text(json.dumps(doc))
+    argv = ["decode", "--f", composed_file, "--solution", sel_file,
+            "--ug", game_file, "--dict", dict_file]
+    if optimized:
+        command = ["-c", _DECODE_AS_ROWS] if as_rows else ["-m", "smcsp.cli"]
+        done = subprocess.run(
+            [sys.executable, "-O", *command, *map(str, argv)],
+            capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", message)
+    else:
+        if as_rows:
+            monkeypatch.setattr(model, "_ROWS_FROM", 0)
+        assert run(capsys, *argv) == (3, "", message)
 
 
 def test_dict_output_is_deterministic(tmp_path, capsys):

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from smcsp import io
-from smcsp.model import Edge, Instance, Predicate, make_instance
+from smcsp.model import (Edge, Instance, Predicate, covering_predicate,
+                         make_instance)
 from smcsp.randgen import (random_game, random_instance, ternary_chain,
                            twisted_cycle, vc_edge)
 
@@ -106,14 +107,37 @@ def awkward_instances(draw):
     return make_instance(q, weights, predicates, edges, ids)
 
 
+# mixed arities, a vertex repeated inside an edge, a repeated edge
+_REPEATS = make_instance(
+    2, [F(1, 2)] * 2,
+    [covering_predicate(2), covering_predicate(3), covering_predicate(1)],
+    [((0, 0), 0), ((1, 0, 1), 1), ((0,), 2), ((0, 0), 0)], ["u", "v"])
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(awkward_instances())
+@example(_REPEATS)
+@example(make_instance(2, [F(1)], [covering_predicate(2)], [], ["u"]))
 def test_serializer_matches_json_dumps(inst):
     text = io.serialize_instance(inst)
     assert text == oracles.serialize_instance_dumps(inst)
     back = io.parse_instance(text)
-    assert back == inst
+    assert back == inst and hash(back) == hash(inst)
     assert io.serialize_instance(back) == text
+    # the rows read back give the same Edge views, of plain ints
+    pairs = [(list(vs), p) for vs, p in inst.edges]
+    for e, (vs, p) in zip(back.edges, pairs):
+        assert type(e) is Edge and e == (tuple(vs), p)
+        assert all(type(a) is int for a in (*e.vertices, e.predicate))
+    # equality reads the rows: rebuilt is equal, one edge changed is not
+    assert make_instance(inst.q, inst.weights, inst.predicates, pairs,
+                         inst.vertex_ids) == inst
+    if pairs:
+        vs, p = pairs[-1]
+        for changed in [(vs, p + 1), (vs + [0], p), (vs[:-1], p)]:
+            other = Instance(inst.q, inst.vertex_ids, inst.weights,
+                             inst.predicates, pairs[:-1] + [changed])
+            assert other != inst
 
 
 def test_serializer_matches_json_dumps_on_edge_shapes():

@@ -12,8 +12,8 @@ import oracles
 from smcsp import io, model
 from smcsp.caps import CapExceeded
 from smcsp.fourier import biased_fourier
-from smcsp.model import (Edge, Predicate, assignment_cost, brute_force_opt,
-                         check_point, cheapest_labeling,
+from smcsp.model import (Edge, EdgeRows, Predicate, assignment_cost,
+                         brute_force_opt, check_point, cheapest_labeling,
                          covering_predicate, is_covering_predicate,
                          is_feasible, label_point, make_instance, mix_points,
                          point_distribution, point_value,
@@ -108,6 +108,55 @@ def test_validate_instance_edge_messages_pinned(edges, expected):
     inst = model.Instance(2, ("u", "v"), (F(1, 2), F(1, 2)),
                           (_PAIR, _TRIPLE), tuple(edges))
     assert validate_instance(inst) == expected
+
+
+_FAULTS = ["none", "none", "none", "predicate", "length", "past n",
+           "negative"]
+
+
+@st.composite
+def corrupted_edges(draw):
+    """Up to 6 edges on 4 vertices, each valid or with one fault: a
+    predicate index out of range, a wrong vertex count, a vertex past n
+    or a negative vertex (-1 among them, the value that pads a row)."""
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        fault = draw(st.sampled_from(_FAULTS))
+        p = draw(st.integers(0, 1))  # _PAIR or _TRIPLE
+        size = 2 + p
+        if fault == "predicate":
+            p = draw(st.sampled_from([-2, -1, 2, 3]))
+        elif fault == "length":
+            size = draw(st.integers(0, 4).filter(lambda k: k != size))
+        vs = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        if fault in ("past n", "negative") and vs:
+            bad = st.integers(4, 6) if fault == "past n" else \
+                st.integers(-3, -1)
+            vs[draw(st.integers(0, len(vs) - 1))] = draw(bad)
+        edges.append(Edge(tuple(vs), p))
+    return edges
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(corrupted_edges())
+def test_row_validation_words_what_the_per_edge_loop_words(edges):
+    as_pairs, as_rows = EdgeRows.of(edges), EdgeRows.of(edges)
+    as_rows.rows  # held as rows from here on: checked as arrays
+    assert as_rows.held_as_rows and not as_pairs.held_as_rows
+    for held in (as_pairs, as_rows):
+        inst = model.Instance(2, ("a", "b", "c", "d"), (F(1, 4),) * 4,
+                              (_PAIR, _TRIPLE), held)
+        assert validate_instance(inst) == oracles.instance_edge_problems(inst)
+
+
+@pytest.mark.parametrize("edge", [((0.0, 1), 0), ((0, 1), 0.0),
+                                  (("0", 1), 0), ((2 ** 63, 1), 0)])
+def test_rows_hold_integer_indices_only(edge):
+    # numpy would truncate a float or parse a string into an index
+    held = model.Instance(2, ("u", "v"), (F(1, 2),) * 2, (_PAIR,),
+                          (edge,)).edges
+    with pytest.raises(ValueError, match="integers within int64"):
+        held.rows
 
 
 @pytest.mark.parametrize("pred, expected", [

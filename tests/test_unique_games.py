@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 import oracles
 from smcsp import io
 from smcsp.caps import CapExceeded
-from smcsp.dictators import (dict_view, dictator_assignment, dictator_weight,
-                             generate_dict)
-from smcsp.model import brute_force_opt, solution_from_assignments
+from smcsp.dictators import (dict_vertex_id, dict_view, dictator_assignment,
+                             dictator_weight, generate_dict)
+from smcsp.model import (brute_force_opt, covering_predicate, make_instance,
+                         solution_from_assignments)
 from smcsp.randgen import (random_game, ternary_chain, triangle_cover,
                            twisted_cycle, vc_edge)
 from smcsp.unique_games import (UgInstance, compose, completeness_solution,
@@ -218,6 +220,48 @@ def test_compose_matches_reference(game_and_dict):
     assert composed.weights == weights
     assert [(e.vertices, e.predicate) for e in composed.edges] == edges
     assert (composed.q, composed.predicates) == (D.q, D.instance.predicates)
+
+
+@st.composite
+def prefix_bases(draw):
+    """A game and a boolean hypercube instance whose 2-ary edges include
+    prefixes of its 3-ary edges; the game may repeat an edge, so that
+    composed tuples repeat."""
+    r, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    points = [(b, y) for b in range(m)
+              for y in itertools.product((0, 1), repeat=r)]
+    vertex = st.integers(0, len(points) - 1)
+    # either predicate order, so a pair may carry the larger index
+    pair, triple = draw(st.sampled_from([(0, 1), (1, 0)]))
+    edges = []
+    for vs in draw(st.lists(st.tuples(vertex, vertex, vertex), max_size=4)):
+        edges.append((vs, triple))
+        if draw(st.booleans()):
+            edges.append((vs[:2], pair))
+    edges += [(vs, pair) for vs in draw(
+        st.lists(st.tuples(vertex, vertex), max_size=3))]
+    predicates = [None, None]
+    predicates[pair], predicates[triple] = covering_predicate(2), \
+        covering_predicate(3)
+    D = dict_view(make_instance(2, [F(1, len(points))] * len(points),
+                                predicates, edges,
+                                [dict_vertex_id(b, y) for b, y in points]))
+    game = _draw_game(draw, r, max_edges=4)
+    if draw(st.booleans()):
+        u, v, wt, perm = game.edges[0]
+        game = dataclasses.replace(game, edges=(
+            (u, v, wt / 2, perm), (u, v, wt / 2, perm)) + game.edges[1:])
+    return game, D
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(prefix_bases())
+def test_row_order_is_tuple_order_on_mixed_arities(game_and_dict):
+    game, D = game_and_dict
+    composed = compose(game, D)
+    ids, weights, edges = oracles.compose_reference(game, D)
+    assert (composed.vertex_ids, composed.weights) == (ids, weights)
+    assert [(e.vertices, e.predicate) for e in composed.edges] == edges
 
 
 def test_identity_game_composition_preserves_optimum():
