@@ -211,7 +211,7 @@ def serialize_instance(inst: Instance) -> str:
     and reused in every edge.  The few predicates go through
     ``json.dumps`` itself, shifted one level in; that is exact because a
     JSON string never holds a raw newline.  An edge's text is one piece
-    per column of its row, gathered from the rows by numpy indexing.
+    per vertex slot and one for its predicate (``_edge_texts``).
     """
     ids = [json.dumps(vid) for vid in inst.vertex_ids]
     names = [json.dumps(p.name) for p in inst.predicates]
@@ -231,18 +231,16 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def _edge_texts(edges: EdgeRows, ids: list, names: list) -> list:
-    """The laid-out text of each edge, gathered from the rows.
+    """The laid-out text of each edge, gathered by numpy indexing.
 
-    An edge's text is one piece per column of its row.  Piece 0 opens the
-    edge with its first vertex, piece j adds vertex j, and the last piece
-    closes the edge with its predicate name, without ``]`` when the edge
-    has no vertices.  A vertex slot past the edge's size reads entry
-    ``len(ids)``: ``[]`` in slot 0, the empty text after it.
+    An edge's text is one piece per vertex slot (``EdgeRows.slots``) and
+    one for its predicate.  Piece 0 opens the edge with its first vertex,
+    piece j adds vertex j, and the last piece closes the edge with its
+    predicate name, without ``]`` when the edge has no vertices.  A slot
+    past the edge's size is filled with ``len(ids)``, which reads ``[]``
+    in slot 0 and the empty text after it.
     """
-    rows, sizes = edges.rows, edges.sizes
-    width = max(rows.shape[1] - 1, 1)
-    slots = np.where(np.arange(width) < sizes[:, None], rows[:, :width],
-                     len(ids))
+    slots = edges.slots(len(ids))
     opening = np.array(['    {\n      "vertices": [\n        ' + vid
                         for vid in ids] + ['    {\n      "vertices": []'],
                        dtype=object)
@@ -253,10 +251,11 @@ def _edge_texts(edges: EdgeRows, ids: list, names: list) -> list:
                          for name in names],
                         [',\n      "predicate": ' + name + "\n    }"
                          for name in names]], dtype=object)
-    pieces = np.empty((len(rows), width + 1), dtype=object)
+    pieces = np.empty((len(slots), slots.shape[1] + 1), dtype=object)
     pieces[:, 0] = opening[slots[:, 0]]
     pieces[:, 1:-1] = later[slots[:, 1:]]
-    pieces[:, -1] = closing[(sizes == 0).astype(np.int64), rows[:, -1]]
+    pieces[:, -1] = closing[(edges.sizes == 0).astype(np.int64),
+                            edges.predicate_indices]
     return list(map("".join, pieces.tolist()))
 
 

@@ -164,9 +164,10 @@ class Edge(NamedTuple):
 
 def _indices(values) -> np.ndarray:
     """``values`` as a 1-d ``int64`` array; anything but integers that
-    fit in ``int64`` raises ``ValueError``, so no float becomes an index."""
+    fit in ``int64`` raises ``ValueError``, so no float or bool becomes
+    an index."""
     a = np.array(values) if len(values) else np.zeros(0, dtype=np.int64)
-    if a.ndim != 1 or a.dtype.kind not in "bi":
+    if a.ndim != 1 or a.dtype.kind != "i":
         raise ValueError("edge vertex and predicate indices must be "
                          "integers within int64")
     return a.astype(np.int64, copy=False)
@@ -199,6 +200,10 @@ class EdgeRows(Sequence):
     ``(vertices, predicate)`` tuples: -1 sorts a vertex tuple before every
     longer one it prefixes.  So ``distinct`` sorts and dedupes edges of
     mixed arity with one row sort.
+
+    Only this class knows that layout.  Other modules read ``slots``,
+    ``predicate_indices`` and ``sizes``, and hand ``distinct`` unpadded
+    blocks of one arity each.
 
     As a sequence it is the ``Edge`` pairs.  Edges held as rows build
     that view on first use.  Edges held as pairs (from ``of``, or fewer
@@ -234,10 +239,26 @@ class EdgeRows(Sequence):
                                 for k, p in zip(sizes, predicates)]))
 
     @classmethod
-    def distinct(cls, rows: np.ndarray, sizes: np.ndarray) -> EdgeRows:
-        """The distinct rows in lexicographic order, which on indices
-        >= 0 is the sorted order of their ``(vertices, predicate)``
-        tuples."""
+    def distinct(cls, blocks) -> EdgeRows:
+        """The distinct edges of ``blocks`` in lexicographic row order,
+        which on indices >= 0 is the sorted order of their
+        ``(vertices, predicate)`` tuples.
+
+        Each block is ``(vertices, predicates)``: an ``(N, k)`` ``int64``
+        array of the vertex indices of N edges of arity k, and their
+        predicate indices.  The blocks are written straight into one
+        padded array, so no padded copy of a block is made.
+        """
+        width = max((vs.shape[1] for vs, _ in blocks), default=0)
+        rows = np.full((sum(len(ps) for _, ps in blocks), width + 1), -1,
+                       dtype=np.int64)
+        sizes = np.empty(len(rows), dtype=np.int64)
+        end = 0
+        for vs, ps in blocks:
+            start, end = end, end + len(ps)
+            rows[start:end, :vs.shape[1]] = vs
+            rows[start:end, -1] = ps
+            sizes[start:end] = vs.shape[1]
         order = np.lexsort(rows.T[::-1])
         rows, sizes = rows[order], sizes[order]
         first = np.ones(len(rows), dtype=bool)
@@ -265,6 +286,20 @@ class EdgeRows(Sequence):
     @property
     def sizes(self) -> np.ndarray:
         return self._arrays()[1]
+
+    def slots(self, fill: int) -> np.ndarray:
+        """Row ``i`` is edge ``i``'s vertex indices, then ``fill`` past its
+        size.  At least one column wide, so slot 0 of an edge with no
+        vertices reads ``fill`` (taken from the masked predicate column
+        when no edge has vertices)."""
+        width = max(self.rows.shape[1] - 1, 1)
+        return np.where(np.arange(width) < self.sizes[:, None],
+                        self.rows[:, :width], fill)
+
+    @property
+    def predicate_indices(self) -> np.ndarray:
+        """Each edge's predicate index."""
+        return self.rows[:, -1]
 
     def _view(self) -> tuple:
         if self._edges is None:
@@ -388,6 +423,15 @@ def validate_instance(inst: Instance) -> list:
         return problems
     for i, e in enumerate(inst.edges):
         p, vs = e.predicate, e.vertices
+        if not _is_index(p):
+            problems.append(f"edge {i}: predicate index {p!r} is not an "
+                            "integer")
+            continue
+        odd = [f"edge {i}: vertex index {v!r} is not an integer"
+               for v in vs if not _is_index(v)]
+        if odd:
+            problems.extend(odd)
+            continue
         if not (0 <= p < len(arities)):
             problems.append(f"edge {i}: predicate index {p} out of range")
             continue
@@ -402,20 +446,25 @@ def validate_instance(inst: Instance) -> list:
     return problems
 
 
+def _is_index(a) -> bool:
+    """Whether ``a`` is a Python or numpy integer; a bool is not one."""
+    return type(a) is int or isinstance(a, np.integer)
+
+
 def _edges_fit(edges: EdgeRows, arities: list, n: int) -> bool:
     """Whether every predicate index, vertex count and vertex index of
-    the rows is in place, checked with array operations; the per-edge
-    loop of ``validate_instance`` runs only to word what is not."""
-    rows, sizes = edges.rows, edges.sizes
+    the edges is in place, checked with array operations; the per-edge
+    loop of ``validate_instance`` runs only to word what is not, so a
+    false ``False`` (the fill 0 when ``n == 0``) costs only that loop."""
+    sizes, preds = edges.sizes, edges.predicate_indices
     if not len(sizes):
         return True
-    preds = rows[:, -1]
     if preds.min() < 0 or preds.max() >= len(arities):
         return False
     if (np.array(arities)[preds] != sizes).any():
         return False
-    vertices = rows[:, :-1][np.arange(rows.shape[1] - 1) < sizes[:, None]]
-    return not len(vertices) or (vertices.min() >= 0 and vertices.max() < n)
+    slots = edges.slots(0)
+    return slots.min() >= 0 and slots.max() < n
 
 
 # ---------------------------------------------------------------------------

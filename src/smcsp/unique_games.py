@@ -16,8 +16,9 @@ Both read the one composed layout: ``composed_vertex_ids`` names the
 vertices, ``composed_weights`` weighs them and ``_twist_tables`` wires
 copy u through pi; ``composed_cubes`` reads a composed instance back
 against it.  Every per-vertex quantity (the edges at a left or a right
-vertex, a left vertex's edge mass) reads the one grouping pass
-``_by_vertex``, so no step rescans the game per vertex.
+vertex, a left vertex's edge mass) reads the game's one grouping pass,
+``UgInstance.by_vertex``, held on the game, so neither a step nor a
+command groups a game twice.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ class UgInstance:
         so the file reader's check also serves ``compose`` and
         ``decode_labeling``."""
         return tuple(validate_ug(self))
+
+    @cached_property
+    def by_vertex(self) -> tuple:
+        """``(at_left, at_right, masses)``: each left and each right
+        vertex's edges, in edge order, and each left vertex's edge mass
+        (a probability mass).  The one pass over ``edges``, run once per
+        game, so no step rescans the game per vertex."""
+        at_left = [[] for _ in self.left]
+        at_right = [[] for _ in self.right]
+        for e in self.edges:
+            at_left[e[0]].append(e)
+            at_right[e[1]].append(e)
+        masses = [sum((e[2] for e in edges), ZERO) for edges in at_left]
+        return at_left, at_right, masses
 
 
 def validate_ug(ug: UgInstance) -> list:
@@ -136,19 +151,6 @@ def ug_brute_force(ug: UgInstance):
     return best, best_labels
 
 
-def _by_vertex(ug: UgInstance):
-    """The one pass over ``ug.edges``: each left and each right vertex's
-    edges, in edge order, and each left vertex's edge mass (a
-    probability mass)."""
-    at_left = [[] for _ in ug.left]
-    at_right = [[] for _ in ug.right]
-    for e in ug.edges:
-        at_left[e[0]].append(e)
-        at_right[e[1]].append(e)
-    masses = [sum((e[2] for e in edges), ZERO) for edges in at_left]
-    return at_left, at_right, masses
-
-
 def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
     """Vertex ids of ``compose(ug, D)``: ``<left-id>/<cube-vertex-id>``,
     one hypercube copy per left vertex, in left order."""
@@ -159,7 +161,7 @@ def composed_vertex_ids(ug: UgInstance, D: DictInstance) -> tuple:
 def composed_weights(ug: UgInstance, D: DictInstance) -> list:
     """Vertex weights of ``compose(ug, D)``: vertex (u, b, y) weighs
     p_u * w_D(b, y), where p_u is the edge mass at u."""
-    return [mass * w for mass in _by_vertex(ug)[2]
+    return [mass * w for mass in ug.by_vertex[2]
             for w in D.instance.weights]
 
 
@@ -174,7 +176,7 @@ def composed_cubes(ug: UgInstance, F: Instance,
     """
     if D is None:
         # a valid game's edge masses sum to 1, so some left vertex has mass
-        mass, u = next((mass, u) for u, mass in enumerate(_by_vertex(ug)[2])
+        mass, u = next((mass, u) for u, mass in enumerate(ug.by_vertex[2])
                        if mass > 0)
         prefix = ug.left[u] + "/"
         copy = [(vid[len(prefix):], w / mass)
@@ -229,40 +231,36 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
     at u, so total weight stays 1.  For a source constraint on points
     (b_j, y_j) and game edges e_1..e_k at a common right vertex, the
     composed constraint joins (u_{e_j}, b_j, y_j o pi_{e_j}) where
-    (y o pi)_t = y_{pi(t)}.  The constraints are built as ``EdgeRows``:
-    per arity k and right vertex, one gather through the twist tables
-    makes the rows of every source constraint with every k-tuple of
-    incident edges, and ``EdgeRows.distinct`` sorts and dedupes them all
-    with one row sort, in ``(vertices, predicate)`` tuple order.  No
-    ``Edge`` is built.
+    (y o pi)_t = y_{pi(t)}.  Per arity k and right vertex, one broadcast
+    gather through the twist tables makes the vertex indices of every
+    source constraint with every k-tuple of incident edges, an
+    ``(N, k)`` block; ``EdgeRows.distinct`` pads, sorts and dedupes the
+    blocks with one row sort, in ``(vertices, predicate)`` tuple order.
+    No ``Edge`` is built.
     """
     row_of, tables = _twist_tables(ug, D)
     base = D.instance.edges
     cube = len(D.instance.vertex_ids)
     check_bits("UG", ug.n_left * cube, "composed vertex count")
     incident = [[row_of[u, perm] for u, _, _, perm in edges]
-                for edges in _by_vertex(ug)[1]]
+                for edges in ug.by_vertex[1]]
     check_bits("UG", sum(len(at_v) ** size for size in base.sizes.tolist()
                          for at_v in incident),
                "composed constraint tuples")
 
-    width = base.rows.shape[1]  # the vertex columns and the predicate
-    rows = [np.zeros((0, width), dtype=np.int64)]
-    sizes = [np.zeros(0, dtype=np.int64)]
+    slots, preds = base.slots(0), base.predicate_indices
+    blocks = []
     for k in np.unique(base.sizes).tolist():
-        source = base.rows[base.sizes == k]
+        of_k = base.sizes == k
+        source, source_preds = slots[of_k, :k], preds[of_k]
         for at_v in incident:
             # picks[t, j]: the table of the j-th game edge of k-tuple t
             picks = np.array(list(itertools.product(at_v, repeat=k)),
                              dtype=np.int64).reshape(-1, k)
-            block = np.full((len(source), len(picks), width), -1,
-                            dtype=np.int64)
-            for j in range(k):
-                block[:, :, j] = tables[picks[:, j], source[:, j, None]]
-            block[:, :, -1] = source[:, -1, None]
-            rows.append(block.reshape(-1, width))
-            sizes.append(np.full(len(rows[-1]), k, dtype=np.int64))
-    edges = EdgeRows.distinct(np.concatenate(rows), np.concatenate(sizes))
+            blocks.append((tables[picks[None, :, :], source[:, None, :]]
+                           .reshape(-1, k),
+                           np.repeat(source_preds, len(picks))))
+    edges = EdgeRows.distinct(blocks)
     return make_instance(D.q, composed_weights(ug, D),
                          D.instance.predicates, edges,
                          composed_vertex_ids(ug, D))
@@ -289,7 +287,7 @@ def completeness_solution(ug: UgInstance, labels: Mapping[str, int],
     check_game_labeling(ug, labels)
     if F is None:
         F = compose(ug, D)
-    at_left, _, masses = _by_vertex(ug)
+    at_left, _, masses = ug.by_vertex
     missed = [any(e[2] > 0 and not edge_satisfied(ug, e, labels)
                   for e in edges) for edges in at_left]
     q = D.q
@@ -349,7 +347,7 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
         raise ValueError(f"labeling has {len(labels)} entries, the composed "
                          f"instance has {n} vertices")
     pulled = [[labels[i] for i in table] for table in tables.tolist()]
-    at_left, at_right, _ = _by_vertex(ug)
+    at_left, at_right, _ = ug.by_vertex
     r = D.r
     if d is None:
         d = r

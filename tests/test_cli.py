@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, pipeline round trips."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -274,6 +275,25 @@ def test_each_command_validates_its_game_once(tmp_path, capsys,
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1, argv[0]
+
+
+def test_each_command_groups_its_game_once(tmp_path, capsys, monkeypatch):
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
+    calls = []
+    group = UgInstance.by_vertex.func
+    counted = functools.cached_property(
+        lambda ug: calls.append(ug) or group(ug))
+    counted.__set_name__(UgInstance, "by_vertex")
+    monkeypatch.setattr(UgInstance, "by_vertex", counted)
+    decode = ["decode", "--f", composed_file, "--solution", sel_file,
+              "--ug", game_file]
+    for argv in (["reduce", "--ug", game_file, "--dict", dict_file, "-o",
+                  tmp_path / "again.json"],
+                 decode, decode + ["--dict", dict_file]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
 
 
 # a script that decodes with every edge list held as rows, as a large

@@ -1,8 +1,9 @@
 """Package hygiene: every module uses every name it imports, every
 unexported top-level definition is used somewhere in the package, every
 member of a package class is read somewhere, no check is an ``assert``
-statement, and the Gaussian layer loads neither scipy's quadrature nor
-its statistics package."""
+statement, only the model reads the rows of an edge list, and the
+Gaussian layer loads neither scipy's quadrature nor its statistics
+package."""
 
 import ast
 import os
@@ -106,6 +107,17 @@ def test_every_class_member_is_read():
                 if not name.startswith("__") and reads[name] == own:
                     unread.append(f"{path.name}:{cls.name}.{name}")
     assert unread == []
+
+
+def test_only_the_model_reads_edge_rows():
+    # the padded row layout of EdgeRows (-1 past an edge's size, the
+    # predicate in the last column) is known to model.py alone; other
+    # modules read its accessors
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if path.name != "model.py"
+               and _attribute_reads(ast.parse(path.read_text(
+                   encoding="utf-8")))["rows"]]
+    assert readers == []
 
 
 def test_gaussian_layer_leaves_quadrature_and_stats_unimported():

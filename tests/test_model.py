@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,13 +151,85 @@ def test_row_validation_words_what_the_per_edge_loop_words(edges):
 
 
 @pytest.mark.parametrize("edge", [((0.0, 1), 0), ((0, 1), 0.0),
-                                  (("0", 1), 0), ((2 ** 63, 1), 0)])
+                                  (("0", 1), 0), ((2 ** 63, 1), 0),
+                                  ((0, 1), True), ((True, True), 0)])
 def test_rows_hold_integer_indices_only(edge):
-    # numpy would truncate a float or parse a string into an index
+    # numpy would truncate a float, parse a string or cast a bool into an
+    # index
     held = model.Instance(2, ("u", "v"), (F(1, 2),) * 2, (_PAIR,),
                           (edge,)).edges
     with pytest.raises(ValueError, match="integers within int64"):
         held.rows
+
+
+@st.composite
+def edge_lists(draw):
+    """Up to 6 edges of arity 0-3 on 4 vertices, repeats allowed, some
+    with a hand-built vertex below 0 (-1, the pad, among them) or past
+    n, and each predicate index one of 0-2."""
+    vertex = st.one_of(st.integers(0, 3), st.integers(-3, -1),
+                       st.integers(4, 6))
+    return [Edge(tuple(draw(st.lists(vertex, max_size=3))),
+                 draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(edge_lists(), st.integers(-2, 9))
+def test_slots_and_predicate_indices_read_each_edge(edges, fill):
+    as_rows = EdgeRows(*model._rows_of(
+        [v for e in edges for v in e.vertices],
+        [len(e.vertices) for e in edges], [e.predicate for e in edges]))
+    width = max([len(e.vertices) for e in edges] + [1])
+    for held in (EdgeRows.of(edges), as_rows):
+        assert held.slots(fill).tolist() == [
+            list(e.vertices) + [fill] * (width - len(e.vertices))
+            for e in edges]
+        assert held.predicate_indices.tolist() == [e.predicate
+                                                   for e in edges]
+
+
+@st.composite
+def arity_blocks(draw):
+    """Blocks of up to 4 edges of one arity 0-3 each, on 3 vertices and 2
+    predicates, so that edges repeat; a 3-ary block may come with the
+    block of its 2-ary prefixes."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, 3))
+        rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=k,
+                                      max_size=k), max_size=4))
+        vertices = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        predicates = np.array(draw(st.lists(st.integers(0, 1),
+                                            min_size=len(rows),
+                                            max_size=len(rows))),
+                              dtype=np.int64)
+        blocks.append((vertices, predicates))
+        if k == 3 and draw(st.booleans()):
+            blocks.append((vertices[:, :2], predicates[::-1].copy()))
+    return blocks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(arity_blocks())
+def test_distinct_is_the_sorted_set_of_the_block_edges(blocks):
+    pairs = [(tuple(vs), p) for vertices, predicates in blocks
+             for vs, p in zip(vertices.tolist(), predicates.tolist())]
+    edges = EdgeRows.distinct(blocks)
+    assert list(edges) == sorted(set(pairs))
+    assert edges.sizes.tolist() == [len(vs) for vs, _ in sorted(set(pairs))]
+
+
+@pytest.mark.parametrize("edge, message", [
+    (((0.0, 1), 0), "edge 0: vertex index 0.0 is not an integer"),
+    (((True, 1), 0), "edge 0: vertex index True is not an integer"),
+    (((0, 1), 0.0), "edge 0: predicate index 0.0 is not an integer"),
+    (((0, 1), True), "edge 0: predicate index True is not an integer"),
+])
+def test_make_instance_refuses_an_index_that_is_no_integer(edge, message):
+    # held as pairs, so the per-edge loop checks it, not the row builder
+    with pytest.raises(ValueError, match=message):
+        make_instance(2, [F(1, 2)] * 2, [covering_predicate(2)], [edge])
 
 
 @pytest.mark.parametrize("pred, expected", [
