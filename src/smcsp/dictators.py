@@ -37,7 +37,7 @@ from .lp import val
 from .model import (Instance, Point, PropertyViolation, point_distribution,
                     point_value, make_instance, assignment_cost, is_feasible,
                     cheapest_labeling, collapse, distribution_point,
-                    tilted_value, violated_edge)
+                    exact_sum, tilted_value, violated_edge)
 from .rounding import check_grid_fraction, perturb
 
 ZERO = Fraction(0)
@@ -358,14 +358,16 @@ def dict_view(inst: Instance) -> DictInstance:
     tilde = []
     for b in range(m):
         block = inst.weights[b * cube: (b + 1) * cube]
-        w_b = sum(block, ZERO)
+        w_b = exact_sum(block)
         bucket_weights.append(w_b)
         if w_b == 0:
             raise ValueError(f"hypercube {b} has zero weight; its "
                              "measure cannot be recovered")
-        margin = [ZERO] * inst.q
-        for (bb, y), w in zip(points[b * cube: (b + 1) * cube], block):
-            margin[y[0]] += w / w_b
-        tilde.append(distribution_point(inst.q, margin))
+        # the mass of each first label, summed once and divided once
+        by_first = [[] for _ in range(inst.q)]
+        for (_, y), w in zip(points[b * cube: (b + 1) * cube], block):
+            by_first[y[0]].append(w)
+        tilde.append(distribution_point(
+            inst.q, [exact_sum(ws) / w_b for ws in by_first]))
     return DictInstance(inst, r, tuple(tilde), tuple(bucket_weights),
                         tuple(points))

@@ -36,9 +36,11 @@ re-raised as ``ParseError``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -142,19 +144,38 @@ def _validated(check, *args):
 # ---------------------------------------------------------------------------
 
 _EDGE_KEYS = frozenset({"vertices", "predicate"})
+_VERTEX_KEYS = frozenset({"id", "weight"})
 
 
 def parse_instance(text: str) -> Instance:
-    """Read an instance document; ``make_instance`` validates its structure."""
+    """Read an instance document; ``make_instance`` validates its structure.
+
+    The vertex and edge tables are read in whole-list passes.  A dict of
+    length 2 that holds both keys holds exactly them, so one length pass
+    and two key lookups check every key set.  When a pass raises
+    ``KeyError`` or ``TypeError``, the table is reread item by item from
+    the start, which raises the message for its first fault.
+    """
     doc = _expect_keys(_load(text), {"q", "vertices", "predicates", "edges"},
                        "instance", {"meta"})
     q = _typed(doc["q"], int, "q")
 
-    ids, weights = [], []
-    for i, v in enumerate(_typed(doc["vertices"], list, "vertices")):
-        _expect_keys(v, {"id", "weight"}, f"vertex #{i}")
-        ids.append(_typed(v["id"], str, f"vertex #{i}: id"))
-        weights.append(parse_rational(v["weight"], f"weight of {v['id']}"))
+    table = _typed(doc["vertices"], list, "vertices")
+    try:
+        if set(map(len, table)) - {2}:
+            raise TypeError
+        ids = list(map(itemgetter("id"), table))
+        raw = list(map(itemgetter("weight"), table))
+        if set(map(type, ids)) - {str}:
+            raise TypeError
+    except (KeyError, TypeError):
+        for i, v in enumerate(table):
+            _expect_keys(v, _VERTEX_KEYS, f"vertex #{i}")
+            _typed(v["id"], str, f"vertex #{i}: id")
+            parse_rational(v["weight"], f"weight of {v['id']}")
+        raise
+    weights = [parse_rational(w, f"weight of {vid}")
+               for vid, w in zip(ids, raw)]
 
     predicates = []
     for i, p in enumerate(_typed(doc["predicates"], list, "predicates")):
@@ -169,32 +190,36 @@ def parse_instance(text: str) -> Instance:
 
     index_of = {vid: i for i, vid in enumerate(ids)}
     by_name = {p.name: i for i, p in enumerate(predicates)}
-    vertices, sizes, preds = [], [], []
-    for i, e in enumerate(_typed(doc["edges"], list, "edges")):
-        try:
-            vids = e["vertices"]
-            # the checks below name the fault; a string would iterate as ids
-            if e.keys() != _EDGE_KEYS or type(vids) is not list:
-                raise TypeError
-            vertices.extend([index_of[vid] for vid in vids])
-            preds.append(by_name[e["predicate"]])
-        except (KeyError, TypeError):
-            _expect_keys(e, _EDGE_KEYS, f"edge #{i}")
-            raise _edge_error(f"edge #{i}", e, index_of, by_name) from None
-        sizes.append(len(vids))
+    edges = _typed(doc["edges"], list, "edges")
+    try:
+        if set(map(len, edges)) - {2}:
+            raise TypeError
+        vid_lists = list(map(itemgetter("vertices"), edges))
+        names = list(map(itemgetter("predicate"), edges))
+        # a string would iterate as ids
+        if set(map(type, vid_lists)) - {list}:
+            raise TypeError
+        sizes = list(map(len, vid_lists))
+        vertices = list(map(index_of.__getitem__,
+                            itertools.chain.from_iterable(vid_lists)))
+        preds = list(map(by_name.__getitem__, names))
+    except (KeyError, TypeError):
+        for i, e in enumerate(edges):
+            _check_edge(f"edge #{i}", e, index_of, by_name)
+        raise
     return _validated(make_instance, q, weights, predicates,
                       EdgeRows.from_flat(vertices, sizes, preds), ids)
 
 
-def _edge_error(what: str, e: dict, index_of: dict, by_name: dict):
-    """The first unreadable or unknown reference of an edge."""
+def _check_edge(what: str, e, index_of: dict, by_name: dict) -> None:
+    """Raise for the first unreadable or unknown part of an edge."""
+    _expect_keys(e, _EDGE_KEYS, what)
     name = _typed(e["predicate"], str, f"{what}: predicate")
     if name not in by_name:
-        return ParseError(f"{what}: unknown predicate name {name!r}")
-    vids = _typed(e["vertices"], list, f"{what}: vertices")
-    vid = next(vid for vid in vids
-               if _typed(vid, str, f"{what}: vertex id") not in index_of)
-    return ParseError(f"{what}: unknown vertex id {vid!r}")
+        raise ParseError(f"{what}: unknown predicate name {name!r}")
+    for vid in _typed(e["vertices"], list, f"{what}: vertices"):
+        if _typed(vid, str, f"{what}: vertex id") not in index_of:
+            raise ParseError(f"{what}: unknown vertex id {vid!r}")
 
 
 def _top_list(items: list) -> str:

@@ -46,6 +46,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def exact_sum(values: Sequence) -> Fraction:
+    """``sum(values, ZERO)``.  When every value is a ``Fraction`` or an
+    ``int`` (a bool is neither), it adds the integer numerators over the
+    lcm of the denominators and divides once, instead of reducing a
+    ``Fraction`` at every addition."""
+    if set(map(type, values)) - {Fraction, int}:
+        return sum(values, ZERO)
+    scale = math.lcm(*[v.denominator for v in values])
+    return Fraction(sum([v.numerator * (scale // v.denominator)
+                         for v in values]), scale)
+
+
 class PropertyViolation(AssertionError):
     """A checked property of a computed result failed.
 
@@ -402,9 +414,9 @@ def validate_instance(inst: Instance) -> list:
     for vid, w in zip(inst.vertex_ids, inst.weights):
         if not isinstance(w, Fraction):
             problems.append(f"weight of {vid} is not an exact rational")
-        elif w < 0:
+        elif w.numerator < 0:
             problems.append(f"weight of {vid} is negative")
-    total = sum(inst.weights, ZERO)
+    total = exact_sum(inst.weights)
     if total != 1:
         problems.append(f"weights sum to {total}, expected exactly 1")
     names = [p.name for p in inst.predicates]

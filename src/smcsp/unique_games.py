@@ -188,16 +188,26 @@ def composed_cubes(ug: UgInstance, F: Instance,
                              f"(pass --dict)")
         ids, weights = zip(*copy)
         D = dict_view(make_instance(F.q, weights, [], [], ids))
-    for what, show, found, want in (
-            ("is", repr, F.vertex_ids, composed_vertex_ids(ug, D)),
-            ("weighs", str, F.weights, composed_weights(ug, D))):
-        if list(found) != list(want):
-            i, a, b = next((i, a, b) for i, (a, b) in enumerate(
-                itertools.zip_longest(found, want)) if a != b)
-            raise ValueError(f"the composed instance is not the game "
-                             f"composed with these hypercubes: vertex #{i} "
-                             f"{what} {show(a)}, expected {show(b)}")
+    want = composed_vertex_ids(ug, D)
+    if list(F.vertex_ids) != list(want):
+        i, a, b = next((i, a, b) for i, (a, b) in enumerate(
+            itertools.zip_longest(F.vertex_ids, want)) if a != b)
+        raise _not_composed(i, "is", repr(a), repr(b))
+    # the ids match, so each weight pairs with one (mass, w); it is compared
+    # with mass * w by integer cross-multiplication, and a Fraction is
+    # built only to word the first that differs
+    pairs = itertools.product(ug.by_vertex[2], D.instance.weights)
+    for i, (fw, (m, w)) in enumerate(zip(F.weights, pairs, strict=True)):
+        if (fw.numerator * m.denominator * w.denominator
+                != m.numerator * w.numerator * fw.denominator):
+            raise _not_composed(i, "weighs", str(fw), str(m * w))
     return D
+
+
+def _not_composed(i: int, what: str, found: str, want: str) -> ValueError:
+    return ValueError(f"the composed instance is not the game composed "
+                      f"with these hypercubes: vertex #{i} {what} {found}, "
+                      f"expected {want}")
 
 
 def _twist_tables(ug: UgInstance, D: DictInstance) -> tuple:

@@ -635,3 +635,48 @@ def instance_edge_problems(inst) -> list:
         problems.extend(f"edge {i}: vertex index {v} out of range"
                         for v in vs if not (0 <= v < n))
     return problems
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer",
+               str: "a string", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def read_edges_per_edge(edges: list, ids: list, names: list) -> tuple:
+    """An instance document's edge list resolved one edge at a time.
+
+    Returns ``(vertex indices end to end, vertex counts, predicate
+    indices)``.  Raises ``ValueError`` with the file reader's message for
+    the first faulty edge; within an edge the key set comes first, then
+    the predicate name, then the vertex list and its ids in order.  A
+    repeated id or name resolves to its last occurrence.
+    """
+    index_of = {vid: i for i, vid in enumerate(ids)}
+    by_name = {name: i for i, name in enumerate(names)}
+    keys = {"vertices", "predicate"}
+
+    def typed(value, kind, what):
+        if type(value) is not kind:
+            raise ValueError(f"{what}: expected {_JSON_KINDS[kind]}, "
+                             f"got {_JSON_KINDS[type(value)]}")
+        return value
+
+    vertices, sizes, preds = [], [], []
+    for i, e in enumerate(edges):
+        what = f"edge #{i}"
+        typed(e, dict, what)
+        if keys - e.keys():
+            raise ValueError(f"{what}: missing keys {sorted(keys - e.keys())}")
+        if e.keys() - keys:
+            raise ValueError(f"{what}: unknown keys {sorted(e.keys() - keys)}")
+        name = typed(e["predicate"], str, f"{what}: predicate")
+        if name not in by_name:
+            raise ValueError(f"{what}: unknown predicate name {name!r}")
+        vids = typed(e["vertices"], list, f"{what}: vertices")
+        for vid in vids:
+            if typed(vid, str, f"{what}: vertex id") not in index_of:
+                raise ValueError(f"{what}: unknown vertex id {vid!r}")
+        vertices.extend(index_of[vid] for vid in vids)
+        sizes.append(len(vids))
+        preds.append(by_name[name])
+    return vertices, sizes, preds

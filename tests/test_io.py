@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from smcsp import io
-from smcsp.model import (Edge, Instance, Predicate, covering_predicate,
-                         make_instance)
+from smcsp.model import (Edge, EdgeRows, Instance, Predicate,
+                         covering_predicate, make_instance)
 from smcsp.randgen import (random_game, random_instance, ternary_chain,
                            twisted_cycle, vc_edge)
 
@@ -216,6 +216,97 @@ def test_edge_messages_pinned(edge, message):
     with pytest.raises(io.ParseError) as info:
         io.parse_instance(json.dumps(doc))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda vs: vs.__setitem__(1, ["v", "1/2"]),
+     "vertex #1: expected an object, got an array"),
+    (lambda vs: vs[1].pop("weight"), "vertex #1: missing keys ['weight']"),
+    (lambda vs: vs[1].update(w=1), "vertex #1: unknown keys ['w']"),
+    # two keys, one of them wrong
+    (lambda vs: vs.__setitem__(1, {"id": "v", "wt": "1/2"}),
+     "vertex #1: missing keys ['weight']"),
+    (lambda vs: vs[1].update(id=7),
+     "vertex #1: id: expected a string, got an integer"),
+    (lambda vs: vs[1].update(weight=0.5),
+     "weight of v: expected 'num/den' string or integer, got 0.5"),
+    # vertex 0's weight is read before vertex 1's keys
+    (lambda vs: (vs[0].update(weight="2/4"), vs[1].pop("id")),
+     "weight of u: non-canonical rational '2/4' (must be in lowest terms)"),
+])
+def test_vertex_messages_pinned(mutate, message):
+    doc = json.loads(io.serialize_instance(vc_edge()))
+    mutate(doc["vertices"])
+    with pytest.raises(io.ParseError) as info:
+        io.parse_instance(json.dumps(doc))
+    assert str(info.value) == message
+
+
+_ARITY_PREDICATES = [covering_predicate(k) for k in (1, 2, 3)]
+
+# (kind, edge -> faulty edge); each is a fault the edge reader words
+_EDGE_FAULTS = [
+    ("array", lambda e, bad: [e["vertices"][0], e["predicate"]]),
+    ("two-character string", lambda e, bad: "uv"),
+    ("number", lambda e, bad: 7),
+    ("null", lambda e, bad: None),
+    ("missing key", lambda e, bad: {"vertices": e["vertices"]}),
+    ("extra key", lambda e, bad: {**e, "w": 1}),
+    ("renamed key", lambda e, bad: {"vertices": e["vertices"],
+                                    "pred": e["predicate"]}),
+    # iterated, these would read as the edge's own ids
+    ("vertices string", lambda e, bad: {**e,
+                                        "vertices": "".join(e["vertices"])}),
+    ("vertices object", lambda e, bad: {**e, "vertices": dict.fromkeys(
+        e["vertices"], 0)}),
+    ("vertex id", lambda e, bad: {**e, "vertices": [*e["vertices"][:-1],
+                                                    bad]}),
+    ("unknown vertex id", lambda e, bad: {**e, "vertices": [
+        *e["vertices"][:-1], "zz"]}),
+    ("predicate", lambda e, bad: {**e, "predicate": bad}),
+    ("unknown predicate", lambda e, bad: {**e, "predicate": "nope"}),
+]
+_NOT_STRINGS = [0, 1.5, True, None, ["a"], {"a": 0}]
+
+
+@st.composite
+def faulty_edge_documents(draw):
+    """An instance document with 200-300 edges and 0-3 faults at random
+    edges.  ``EdgeRows.from_flat`` keeps fewer than ``_ROWS_FROM`` (256)
+    edges as pairs and more as rows, so both are drawn.  Vertex ids are
+    single letters, so a string of ids reads as its ids if iterated."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = []
+    for _ in range(draw(st.integers(200, 300))):
+        p = rng.randrange(3)
+        edges.append(([rng.randrange(n) for _ in range(p + 1)], p))
+    inst = make_instance(2, [F(1, n)] * n, _ARITY_PREDICATES, edges,
+                         "abcdef"[:n])
+    doc = json.loads(io.serialize_instance(inst))
+    valid = list(doc["edges"])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(edges) - 1))
+        _, fault = draw(st.sampled_from(_EDGE_FAULTS))
+        doc["edges"][i] = fault(valid[i], draw(st.sampled_from(_NOT_STRINGS)))
+    return inst, json.dumps(doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(faulty_edge_documents())
+def test_bulk_edge_reader_names_the_per_edge_readers_fault(case):
+    inst, text = case
+    doc = json.loads(text)
+    try:
+        want = oracles.read_edges_per_edge(doc["edges"], inst.vertex_ids,
+                                           [p.name for p in inst.predicates])
+    except ValueError as exc:
+        with pytest.raises(io.ParseError) as info:
+            io.parse_instance(text)
+        assert str(info.value) == str(exc)
+    else:
+        edges = io.parse_instance(text).edges
+        assert edges == EdgeRows.from_flat(*want) == inst.edges
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -69,6 +69,44 @@ def test_make_instance_rejects_bad_weight_sum():
     with pytest.raises(ValueError, match="sum"):
         make_instance(2, [F(1, 2), F(1, 3)], [covering_predicate(2)],
                       [((0, 1), 0)])
+
+
+@pytest.mark.parametrize("weights,expected", [
+    ((F(3, 2), F(-1, 2)), ["weight of b is negative"]),
+    ((0.5, F(1, 2)), ["weight of a is not an exact rational"]),
+    ((True, F(0)), ["weight of a is not an exact rational"]),
+    ((1, F(0)), ["weight of a is not an exact rational"]),
+    ((F(1, 2), F(1, 4)), ["weights sum to 3/4, expected exactly 1"]),
+    ((F(1, 2), 1), ["weight of b is not an exact rational",
+                    "weights sum to 3/2, expected exactly 1"]),
+    ((0.25, 0.5), ["weight of a is not an exact rational",
+                   "weight of b is not an exact rational",
+                   "weights sum to 0.75, expected exactly 1"]),
+    ((F(-1, 2), 1.5), ["weight of a is negative",
+                       "weight of b is not an exact rational"]),
+])
+def test_validate_instance_weight_messages_pinned(weights, expected):
+    # built directly, so make_instance's conversion to Fraction is bypassed
+    inst = model.Instance(2, ("a", "b"), weights, (covering_predicate(2),),
+                          (((0, 1), 0),))
+    assert validate_instance(inst) == expected
+
+
+_RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_RATIONALS, max_size=12))
+@example([])
+@example([F(-1, 3), 2, F(1, 6), -2])
+def test_exact_sum_is_the_fraction_sum(values):
+    total = model.exact_sum(values)
+    assert type(total) is F and total == sum(values, F(0))
+    # a bool or a float is summed the plain way
+    for odd in [True, 0.5]:
+        assert model.exact_sum(values + [odd]) == sum(values + [odd], F(0))
 
 
 def test_make_instance_rejects_arity_mismatch():

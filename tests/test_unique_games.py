@@ -169,6 +169,24 @@ def test_composed_ids_weights_and_predicates():
     assert "L1/b0:y10" in Finst.vertex_ids
 
 
+@pytest.mark.parametrize("i, with_dict", [(0, True), (3, True), (7, True),
+                                          (5, False)])
+def test_composed_cubes_refuses_a_weight_off_by_a_trillionth(i, with_dict):
+    ug, D = _twisted_pair(), _vc_dict(r=2)
+    Finst = compose(ug, D)
+    assert composed_cubes(ug, Finst, D) == D
+    want = Finst.weights[i]
+    off = want + F(1, want.denominator * 10**12)
+    weights = Finst.weights[:i] + (off,) + Finst.weights[i + 1:]
+    bad = dataclasses.replace(Finst, weights=weights)
+    message = (f"the composed instance is not the game composed with these "
+               f"hypercubes: vertex #{i} weighs {off}, expected {want}")
+    with pytest.raises(ValueError) as info:
+        # without D the cubes come from L0's copy, vertices 0-3
+        composed_cubes(ug, bad, D if with_dict else None)
+    assert str(info.value) == message
+
+
 @functools.lru_cache(maxsize=None)
 def _dicts(r):
     """A boolean and a ternary hypercube instance with ``r`` coordinates."""
