@@ -40,12 +40,17 @@ def cap(name: str) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        shown = raw if len(raw) <= 20 else raw[:20] + "..."
         raise ValueError(f"SMCSP_CAP_{name} must be an integer, "
-                         f"got {shown!r}") from exc
+                         f"got {clip(raw)!r}") from exc
     if value < 0:
         raise ValueError(f"SMCSP_CAP_{name} must be nonnegative, got {value}")
     return value
+
+
+def clip(text: str) -> str:
+    """``text`` as a message echoes it: the first 20 characters, and
+    ``...`` after them if there are more."""
+    return text if len(text) <= 20 else text[:20] + "..."
 
 
 def _decimal(digits: str) -> int:

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, io
-from .caps import CapExceeded
+from .caps import CapExceeded, clip
 from .dictators import (bucket_constant_opt, completeness_check, dict_view,
                         dictator_weight, generate_dict, pseudo_random_check)
 from .distributions import cheeger_check, extract_edge_distribution, smooth
@@ -277,7 +277,15 @@ def cmd_analyze_influences(args) -> int:
 def cmd_check(args) -> int:
     ids = None
     if args.criteria and args.criteria != ["all"]:
-        ids = [int(c) for c in args.criteria]
+        ids, unread = [], []
+        for c in args.criteria:
+            try:
+                ids.append(int(c))
+            except ValueError:
+                unread.append(clip(c))
+        if unread:
+            raise ValueError(f"unknown criteria: {unread} "
+                             "(give criterion numbers, or 'all' alone)")
     reports = acceptance.run(ids)
     doc = {"criteria": reports,
            "passed": all(r["passed"] for r in reports)}

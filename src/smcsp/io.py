@@ -36,15 +36,19 @@ re-raised as ``ParseError``.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
+from .caps import clip
 from .model import (EdgeRows, Instance, Point, Predicate, check_solution,
                     make_instance, validate_assignment)
 from .unique_games import UgInstance
@@ -66,6 +70,14 @@ def parse_rational(value, what: str = "value") -> Fraction:
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        for digits in (part.removeprefix("-") for part in parts):
+            if (0 < limit < len(digits) and digits.isascii()
+                    and digits.isdigit()):
+                raise ParseError(
+                    f"{what}: rational {clip(value)!r} has a part of "
+                    f"{len(digits)} digits, past the {limit}-digit limit of "
+                    "Python's int") from exc
         raise ParseError(f"{what}: malformed rational {value!r}") from exc
     # int() also reads '+', '-0', spaces, leading zeros, '_' and non-ASCII
     # digits; only the spelling str() gives back is canonical
@@ -124,6 +136,32 @@ def _expect_keys(obj, required: set, what: str,
     return obj
 
 
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector off.
+
+    A large document is read into, or written from, tens of thousands
+    of fresh containers, so the collector would otherwise walk them
+    many times per call.  A collection could free nothing there: JSON
+    values are trees, the reader's passes build flat lists of strings and
+    ints, and the writer builds lists of strings, so none of it forms a
+    reference cycle.  ``gc.disable`` acts on the whole process, which the
+    package may do because it runs on one thread.  If the collector is
+    already off, from a caller or an enclosing paused call, it is left
+    off.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_collector_paused
 def _load(text: str):
     try:
         return json.loads(text)
@@ -147,6 +185,7 @@ _EDGE_KEYS = frozenset({"vertices", "predicate"})
 _VERTEX_KEYS = frozenset({"id", "weight"})
 
 
+@_collector_paused
 def parse_instance(text: str) -> Instance:
     """Read an instance document; ``make_instance`` validates its structure.
 
@@ -222,37 +261,45 @@ def _check_edge(what: str, e, index_of: dict, by_name: dict) -> None:
             raise ParseError(f"{what}: unknown vertex id {vid!r}")
 
 
-def _top_list(items: list) -> str:
-    """A top-level ``indent=2`` JSON array of already-laid-out items."""
+def _array(items: list, indent: int) -> str:
+    """An ``indent=2`` JSON array of items laid out with their leading
+    spaces, closed ``indent`` spaces in."""
     if not items:
         return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
 
 
+@_collector_paused
 def serialize_instance(inst: Instance) -> str:
     """The text ``json.dumps(doc, indent=2)`` prints, laid out directly.
 
     Each vertex id and predicate name is encoded once with ``json.dumps``
-    and reused in every edge.  The few predicates go through
-    ``json.dumps`` itself, shifted one level in; that is exact because a
-    JSON string never holds a raw newline.  An edge's text is one piece
-    per vertex slot and one for its predicate (``_edge_texts``).
+    and reused in every edge; each label and arity is encoded with it
+    too.  Nothing goes through ``json.dumps(..., indent=2)``, whose
+    encoder closures make a reference cycle on every call.  An edge's
+    text is one piece per vertex slot and one for its predicate
+    (``_edge_texts``).
     """
     ids = [json.dumps(vid) for vid in inst.vertex_ids]
     names = [json.dumps(p.name) for p in inst.predicates]
     vertices = [f'    {{\n      "id": {vid},\n      "weight": '
                 f'"{w.numerator}/{w.denominator}"\n    }}'
                 for vid, w in zip(ids, inst.weights)]
-    predicates = [
-        "    " + json.dumps({"name": p.name, "arity": p.arity,
-                             "minimal": [list(m) for m in sorted(p.minimal)]},
-                            indent=2).replace("\n", "\n    ")
-        for p in inst.predicates]
+    predicates = list(map(_predicate_text, names, inst.predicates))
     edges = _edge_texts(inst.edges, ids, names)
     return (f'{{\n  "q": {json.dumps(inst.q)},\n'
-            f'  "vertices": {_top_list(vertices)},\n'
-            f'  "predicates": {_top_list(predicates)},\n'
-            f'  "edges": {_top_list(edges)}\n}}\n')
+            f'  "vertices": {_array(vertices, 2)},\n'
+            f'  "predicates": {_array(predicates, 2)},\n'
+            f'  "edges": {_array(edges, 2)}\n}}\n')
+
+
+def _predicate_text(name: str, p: Predicate) -> str:
+    """The laid-out text of a predicate whose encoded name is ``name``."""
+    minimal = ["        " + _array([f"          {json.dumps(a)}" for a in m], 8)
+               for m in sorted(p.minimal)]
+    return (f'    {{\n      "name": {name},\n'
+            f'      "arity": {json.dumps(p.arity)},\n'
+            f'      "minimal": {_array(minimal, 6)}\n    }}')
 
 
 def _edge_texts(edges: EdgeRows, ids: list, names: list) -> list:

@@ -638,6 +638,16 @@ def test_ug_cap_bounds_the_composition(tmp_path, capsys, monkeypatch, cap,
      "--split coordinates must be in 1..3"),
     ({}, ("analyze", "correlation", hvc3(), "--edge", "0", "--split",
           "1,x|2"), "--split coordinates must be in 1..3"),
+    ({}, ("check", "x"),
+     "unknown criteria: ['x'] (give criterion numbers, or 'all' alone)"),
+    ({}, ("check", "all", "3"),
+     "unknown criteria: ['all'] (give criterion numbers, or 'all' alone)"),
+    ({}, ("check", "1" * 5000, "2", "y"),
+     "unknown criteria: ['11111111111111111111...', 'y'] "
+     "(give criterion numbers, or 'all' alone)"),
+    ({}, ("round", hvc3(), "--eps", "1/" + "1" * 5000),
+     "--eps: rational '1/111111111111111111...' has a part of 5000 digits, "
+     "past the 4300-digit limit of Python's int"),
 ])
 def test_bad_setting_or_argument_is_exit_3(capsys, monkeypatch, env, argv,
                                            message):

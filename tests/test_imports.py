@@ -1,9 +1,9 @@
 """Package hygiene: every module uses every name it imports, every
 unexported top-level definition is used somewhere in the package, every
 member of a package class is read somewhere, no check is an ``assert``
-statement, only the model reads the rows of an edge list, and the
-Gaussian layer loads neither scipy's quadrature nor its statistics
-package."""
+statement, only the model reads the rows of an edge list, only the
+file reader and writer pause the garbage collector, and the Gaussian
+layer loads neither scipy's quadrature nor its statistics package."""
 
 import ast
 import os
@@ -118,6 +118,38 @@ def test_only_the_model_reads_edge_rows():
                and _attribute_reads(ast.parse(path.read_text(
                    encoding="utf-8")))["rows"]]
     assert readers == []
+
+
+def _gc_attributes(node) -> list:
+    """The ``gc.<name>`` attributes that ``node`` reads."""
+    return [n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "gc"]
+
+
+def test_one_site_pauses_the_collector():
+    # each paused function was measured with gc.callbacks; a new pause
+    # site, or another use of the collector, needs its own measurement
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    imports = [(name, type(node).__name__) for name, tree in trees.items()
+               for node in ast.walk(tree)
+               if (isinstance(node, ast.Import)
+                   and "gc" in [a.name for a in node.names])
+               or (isinstance(node, ast.ImportFrom) and node.module == "gc")]
+    # a plain ``import gc``, so every use reads as gc.<name>
+    assert imports == [("io.py", "Import")]
+    functions = {node.name: node for node in trees["io.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    assert sorted(_gc_attributes(trees["io.py"])) == \
+        sorted(_gc_attributes(functions["_collector_paused"])) == \
+        ["disable", "enable", "isenabled"]
+    paused = [name for name, node in functions.items()
+              if "_collector_paused" in [d.id for d in node.decorator_list
+                                         if isinstance(d, ast.Name)]]
+    assert paused == ["_load", "parse_instance", "serialize_instance"]
+    # and nowhere else: not called, not passed around
+    assert _references(trees["io.py"])["_collector_paused"] == len(paused)
 
 
 def test_gaussian_layer_leaves_quadrature_and_stats_unimported():

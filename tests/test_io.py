@@ -1,7 +1,9 @@
 """File formats: round trips, canonical form, and rejection catalog."""
 
+import gc
 import json
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 
 import oracles
 from smcsp import io
+from smcsp.dictators import generate_dict
 from smcsp.model import (Edge, EdgeRows, Instance, Predicate,
                          covering_predicate, make_instance)
 from smcsp.randgen import (random_game, random_instance, ternary_chain,
                            twisted_cycle, vc_edge)
+from smcsp.unique_games import compose
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,6 +41,25 @@ def test_parse_rational_accepts_integers_and_strings():
 def test_parse_rational_rejects_noncanonical(bad):
     with pytest.raises(io.ParseError):
         io.parse_rational(bad)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/" + "1" * 5000, "--eps: rational '1/111111111111111111...' has a "
+     "part of 5000 digits, past the 4300-digit limit of Python's int"),
+    ("-" + "7" * 4301 + "/3", "--eps: rational '-7777777777777777777...' "
+     "has a part of 4301 digits, past the 4300-digit limit of Python's int"),
+    # a long part that is no number stays malformed
+    ("1/" + "x" * 4301, f"--eps: malformed rational '1/{'x' * 4301}'"),
+], ids=["denominator", "numerator", "no-number"])
+def test_parse_rational_names_the_int_digit_limit(value, message):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(io.ParseError) as info:
+            io.parse_rational(value, "--eps")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(info.value) == message
 
 
 def test_format_parse_rational_round_trip():
@@ -402,3 +425,130 @@ def test_empty_ids_are_rejected_by_the_validators():
 def test_unreadable_json_is_a_parse_error(text):
     with pytest.raises(io.ParseError, match="invalid JSON"):
         io.parse_instance(text)
+
+
+# ---------------------------------------------------------------------------
+# the collector pause
+# ---------------------------------------------------------------------------
+
+def _cyclic_garbage(step) -> int:
+    """Objects in reference cycles that ``step`` leaves behind.
+
+    The collector stays off throughout, so no automatic collection can
+    free a cycle before the count."""
+    gc.collect()
+    gc.disable()
+    try:
+        step()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _instance_round_trip(text: str) -> None:
+    assert io.serialize_instance(io.parse_instance(text)) == text
+
+
+@st.composite
+def generated_files(draw):
+    """(round trip, text) for an instance or a game; instances of up to
+    400 edges, so edges held as pairs and as rows are both drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["awkward", "random", "game"]))
+    if kind == "awkward":
+        return _instance_round_trip, io.serialize_instance(
+            draw(awkward_instances()))
+    if kind == "random":
+        inst = random_instance(rng, draw(st.sampled_from([2, 3])),
+                               draw(st.integers(2, 12)),
+                               draw(st.integers(1, 400)))
+        return _instance_round_trip, io.serialize_instance(inst)
+    ug, _ = random_game(rng, draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                        draw(st.integers(1, 5)), draw(st.integers(0, 5)))
+    # serialize_ug is not paused; its json.dumps(..., indent=2) makes a
+    # cycle that the collector frees as it runs
+    return io.parse_ug, io.serialize_ug(ug)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(generated_files())
+def test_reading_and_writing_leave_no_reference_cycles(case):
+    step, text = case
+    assert _cyclic_garbage(lambda: step(text)) == 0
+
+
+def _chain_files() -> dict:
+    """The files of one small dict -> reduce chain: the composed
+    instance has 270 edges, so it is held as rows."""
+    D = generate_dict(vc_edge(), [F(1, 2)] * 2, 2, F(1, 10), F(1, 2))
+    ug, _ = random_game(random.Random(5), 2, 8, 4, 8)
+    return {"dict": io.serialize_instance(D.instance),
+            "game": io.serialize_ug(ug),
+            "composed": io.serialize_instance(compose(ug, D))}
+
+
+@pytest.mark.parametrize("name", ["dict", "game", "composed"])
+def test_chain_files_leave_no_reference_cycles(name):
+    text = _chain_files()[name]
+    step = io.parse_ug if name == "game" else _instance_round_trip
+    assert _cyclic_garbage(lambda: step(text)) == 0
+
+
+def _bad_edge() -> str:
+    doc = json.loads(io.serialize_instance(vc_edge()))
+    doc["edges"][0]["vertices"][0] = "nowhere"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: io.parse_instance(io.serialize_instance(ternary_chain())),
+    lambda: io._load("[1, 2]"),
+    lambda: io.parse_ug(io.serialize_ug(twisted_cycle())),
+], ids=["parse-serialize", "load", "game-load"])
+def test_collector_is_on_after_a_paused_call(call):
+    assert gc.isenabled()
+    call()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "invalid JSON"),
+    (_bad_edge(), "edge #0: unknown vertex id 'nowhere'"),
+], ids=["malformed-json", "bad-edge"])
+def test_collector_is_on_after_a_paused_call_raises(text, message):
+    with pytest.raises(io.ParseError, match=message):
+        io.parse_instance(text)
+    assert gc.isenabled()
+
+
+def test_collector_left_off_when_the_caller_turned_it_off():
+    text = io.serialize_instance(ternary_chain())
+    gc.disable()
+    try:
+        io.serialize_instance(io.parse_instance(text))
+        assert not gc.isenabled()
+        with pytest.raises(io.ParseError):
+            io.parse_instance("{")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_load_leaves_the_collector_off(monkeypatch):
+    # parse_instance validates after its own _load returns; the collector
+    # must still be off then, and off inside json.loads as well
+    seen = []
+
+    def loads(text):
+        seen.append(("loads", gc.isenabled()))
+        return json.JSONDecoder().decode(text)
+
+    def make(*args):
+        seen.append(("make_instance", gc.isenabled()))
+        return make_instance(*args)
+
+    monkeypatch.setattr(io.json, "loads", loads)
+    monkeypatch.setattr(io, "make_instance", make)
+    io.parse_instance(io.serialize_instance(vc_edge()))
+    assert seen == [("loads", False), ("make_instance", False)]
+    assert gc.isenabled()
