@@ -29,7 +29,8 @@ from .distributions import cheeger_check, extract_edge_distribution, smooth
 from .gaussian import gamma
 from .lp import solve_lp
 from .model import PropertyViolation, brute_force_opt
-from .rounding import integrality_report, perturb, round_solution
+from .rounding import (integrality_report, perturb, round_perturbed,
+                       round_solution)
 from .unique_games import (compose, composed_cubes, decode_labeling,
                            ug_satisfied_weight)
 
@@ -138,12 +139,12 @@ def _generated_dict(args, inst):
     x = _solution_for(args, inst)
     if not args.solution:
         x = perturb(inst, x, eps).x_eps
-    return generate_dict(inst, x, args.r, delta, eps), x
+    return generate_dict(inst, x, args.r, delta, eps)
 
 
 def cmd_dict(args) -> int:
     inst = _load_instance(args.instance)
-    D, x = _generated_dict(args, inst)
+    D = _generated_dict(args, inst)
     _write(args.output, io.serialize_instance(D.instance))
     doc = {"vertices": len(D.instance.vertex_ids),
            "edges": len(D.instance.edges), "cubes": D.m, "r": D.r,
@@ -158,10 +159,11 @@ def cmd_dict(args) -> int:
 
 def cmd_dict_check(args) -> int:
     inst = _load_instance(args.instance)
-    D, x = _generated_dict(args, inst)
+    D = _generated_dict(args, inst)
     report = completeness_check(D)
     bco, bucket_labels = bucket_constant_opt(D)
-    rounded = round_solution(inst, x, D.eps).value
+    # generate_dict's grid check snapped x; round that snap, not a new one
+    rounded = round_perturbed(inst, D.snap).value
     if bco != rounded:
         raise PropertyViolation(f"cube-constant optimum {bco} differs from "
                                 f"rounding value {rounded}")

@@ -25,8 +25,9 @@ The key identities, checked where cheap (a failure raises
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +39,7 @@ from .model import (Instance, Point, PropertyViolation, point_distribution,
                     point_value, make_instance, assignment_cost, is_feasible,
                     cheapest_labeling, collapse, distribution_point,
                     exact_sum, tilted_value, violated_edge)
-from .rounding import check_grid_fraction, perturb
+from .rounding import PerturbedSolution, check_grid_fraction, perturb
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,13 +61,25 @@ def bucket_map(x: Sequence[Point]):
     return len(values), tuple(values), tuple(bucket_of)
 
 
+def _tilt_numerators(q: int, tilde: Point) -> tuple:
+    """The tilted value's label distribution as integer numerators over
+    one denominator: ``(nums, den)``."""
+    dist = point_distribution(q, tilde)
+    den = math.lcm(*[a.denominator for a in dist])
+    return [a.numerator * (den // a.denominator) for a in dist], den
+
+
+def _string_measure(nums: list, den: int, y: Sequence[int],
+                    scale: Fraction) -> Fraction:
+    """``scale`` times the product probability of the string y, given
+    ``_tilt_numerators``: one ``Fraction``, built from integers."""
+    return Fraction(math.prod([nums[a] for a in y]) * scale.numerator,
+                    den ** len(y) * scale.denominator)
+
+
 def cube_measure(q: int, tilde: Point, y: Sequence[int]) -> Fraction:
     """Product probability of the string y under the tilted value."""
-    dist = point_distribution(q, tilde)
-    prob = ONE
-    for a in y:
-        prob *= dist[a]
-    return prob
+    return _string_measure(*_tilt_numerators(q, tilde), y, ONE)
 
 
 def _cube_points(m: int, q: int, r: int) -> list:
@@ -99,6 +112,9 @@ class DictInstance:
     delta: Fraction | None = None
     eps: Fraction | None = None
     source_value: Fraction | None = None  # val of the generating pair
+    # the generating solution's ``perturb``, which it equals on the grid;
+    # buckets in ascending value order, not the cubes' order
+    snap: PerturbedSolution | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -119,7 +135,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     ``ValueError`` naming the first edge of ``inst`` that fails, before
     any DICT cap is checked.  The blowup is built from I' alone.  Returns
     ``dict_view`` of the built instance with the generation parameters
-    set, so a zero-weight bucket raises there.
+    set, so a zero-weight bucket raises there; ``snap`` is the grid
+    check's ``perturb(inst, x, eps)``, for the rounding to reuse.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -128,9 +145,9 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     if r < 1:
         raise ValueError("r must be a positive integer")
     eps = check_grid_fraction(eps)
-    snapped = perturb(inst, x, eps).x_eps
-    off = [vid for vid, pt, snap in zip(inst.vertex_ids, x, snapped)
-           if snap != pt]
+    snap = perturb(inst, x, eps)
+    off = [vid for vid, pt, image in zip(inst.vertex_ids, x, snap.x_eps)
+           if image != pt]
     if off:
         raise ValueError(f"solution entries off the eps-grid: {off}")
 
@@ -154,7 +171,8 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
     tilde = tuple(tilted_value(q, p, delta) for p in values)
 
     points = _cube_points(m, q, r)
-    weights = [cube_measure(q, tilde[b], y) * quotient.weights[b]
+    measures = [_tilt_numerators(q, t) for t in tilde]
+    weights = [_string_measure(*measures[b], y, quotient.weights[b])
                for b, y in points]
     ids = [dict_vertex_id(b, y) for b, y in points]
     index = {pt: i for i, pt in enumerate(points)}
@@ -168,7 +186,7 @@ def generate_dict(inst: Instance, x: Sequence[Point], r: int, delta,
 
     out = make_instance(q, weights, inst.predicates, sorted(edges), ids)
     return replace(dict_view(out), delta=delta, eps=eps,
-                   source_value=val(quotient, values))
+                   source_value=val(quotient, values), snap=snap)
 
 
 def require_generated(D: DictInstance) -> None:

@@ -66,7 +66,7 @@ def parse_rational(value, what: str = "value") -> Fraction:
                          f"got {value!r}")
     parts = value.split("/")
     if len(parts) != 2:
-        raise ParseError(f"{what}: malformed rational {value!r}")
+        raise ParseError(f"{what}: malformed rational {clip(value)!r}")
     try:
         num, den = int(parts[0]), int(parts[1])
     except ValueError as exc:
@@ -78,15 +78,17 @@ def parse_rational(value, what: str = "value") -> Fraction:
                     f"{what}: rational {clip(value)!r} has a part of "
                     f"{len(digits)} digits, past the {limit}-digit limit of "
                     "Python's int") from exc
-        raise ParseError(f"{what}: malformed rational {value!r}") from exc
+        raise ParseError(
+            f"{what}: malformed rational {clip(value)!r}") from exc
     # int() also reads '+', '-0', spaces, leading zeros, '_' and non-ASCII
     # digits; only the spelling str() gives back is canonical
     if parts != [str(num), str(den)]:
-        raise ParseError(f"{what}: malformed rational {value!r}")
+        raise ParseError(f"{what}: malformed rational {clip(value)!r}")
     if den <= 0:
-        raise ParseError(f"{what}: denominator must be positive in {value!r}")
+        raise ParseError(f"{what}: denominator must be positive in "
+                         f"{clip(value)!r}")
     if math.gcd(abs(num), den) != 1:
-        raise ParseError(f"{what}: non-canonical rational {value!r} "
+        raise ParseError(f"{what}: non-canonical rational {clip(value)!r} "
                          "(must be in lowest terms)")
     return Fraction(num, den)
 

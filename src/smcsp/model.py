@@ -12,7 +12,8 @@ tuple is accepted, and its cost is the weight-average of its labels.
 Fractional relaxations assign each vertex a *point*, a rational label
 distribution, written for ``q == 2`` as its mass on label 1; the point
 is in the value domain when the distribution lies in the simplex.  Only
-``point_distribution`` and its inverse know the ``q == 2`` convention.
+``point_distribution``, its inverses, ``upper_masses`` and
+``point_in_domain`` know the ``q == 2`` convention.
 
 Every exact minimization in the package goes through one search,
 ``cheapest_labeling``: the cheapest feasible labeling, lexicographically
@@ -34,6 +35,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -120,6 +122,12 @@ class Predicate:
                         "(minimal set must be an antichain)"
                     )
         return problems
+
+    @cached_property
+    def problems(self) -> tuple:
+        """``validate()``, run once per predicate object: a predicate is
+        frozen, so every instance that shares it reads the one check."""
+        return tuple(self.validate())
 
 
 _CLOSURE_CACHE: dict = {}
@@ -423,7 +431,7 @@ def validate_instance(inst: Instance) -> list:
     if len(set(names)) != len(names):
         problems.append("duplicate predicate names (names are not unique)")
     for p in inst.predicates:
-        problems.extend(p.validate())
+        problems.extend(p.problems)
         if p.q != inst.q:
             problems.append(
                 f"predicate {p.name} has alphabet {p.q}, instance has {inst.q}"
@@ -493,11 +501,14 @@ def validate_assignment(inst: Instance, labels: Sequence[int]) -> None:
 
 
 def assignment_cost(inst: Instance, labels: Sequence[int]) -> Fraction:
-    """Weighted average label: sum_v w_v * labels[v]."""
+    """Weighted average label: sum_v w_v * labels[v], summed per label
+    with ``exact_sum``."""
     validate_assignment(inst, labels)
-    return sum(
-        (w * a for w, a in zip(inst.weights, labels) if a), ZERO
-    )
+    by_label = [[] for _ in range(inst.q)]
+    for w, a in zip(inst.weights, labels):
+        by_label[a].append(w)
+    return sum((exact_sum(ws) * a for a, ws in enumerate(by_label)
+                if a and ws), ZERO)
 
 
 def violated_edge(inst: Instance, labels: Sequence[int]) -> int | None:
@@ -524,9 +535,10 @@ def collapse(inst: Instance, part_of: Sequence[int]) -> Instance:
     the labelings of ``inst`` that are constant on every part, at the
     same cost and with the same feasibility.
     """
-    weights = [ZERO] * (max(part_of) + 1)
+    parts = [[] for _ in range(max(part_of) + 1)]
     for w, p in zip(inst.weights, part_of):
-        weights[p] += w
+        parts[p].append(w)
+    weights = [exact_sum(ws) for ws in parts]
     edges = sorted({(tuple(part_of[v] for v in e.vertices), e.predicate)
                     for e in inst.edges})
     return make_instance(inst.q, weights, inst.predicates, edges)
@@ -674,10 +686,26 @@ def distribution_point(q: int, dist: Sequence[Fraction]) -> Point:
     return dist[1] if q == 2 else tuple(dist)
 
 
+def upper_masses(q: int, pt: Point) -> tuple:
+    """``point_distribution(q, pt)[1:]``, the masses on labels 1 to
+    q - 1, without forming label 0's."""
+    return (pt,) if q == 2 else pt[1:]
+
+
+def grid_point(q: int, counts: Sequence[int], steps: int) -> Point:
+    """The point whose label distribution is ``counts / steps``; only
+    the ``Fraction``s the point holds are built."""
+    if q == 2:
+        return Fraction(counts[1], steps)
+    return tuple([Fraction(c, steps) for c in counts])
+
+
 def point_in_domain(q: int, pt: Point) -> bool:
-    """The point's label distribution lies in the simplex."""
-    dist = point_distribution(q, pt)
-    return all(a >= 0 for a in dist) and sum(dist, ZERO) == 1
+    """The point's label distribution lies in the simplex; for q == 2,
+    ``0 <= x <= 1``, without forming label 0's mass."""
+    if q == 2:
+        return 0 <= pt <= 1
+    return all(a >= 0 for a in pt) and sum(pt, ZERO) == 1
 
 
 def check_solution(inst: Instance, x: Sequence[Point]) -> None:

@@ -5,23 +5,28 @@ the points whose label distribution has every coordinate a multiple of
 epsilon, by one rule for every q: from the top label downward, each
 coordinate rounds up while the running mass stays within one, the first
 coordinate that would overflow absorbs the remainder, and everything
-below it becomes zero.  The snapped distribution stochastically
-dominates the original (every upper tail weakly grows), which is what
-preserves hull feasibility for upward-closed constraints; rounding the
-low labels up instead can push a solution out of the hull.  The
-objective increases by at most ``eps`` for ``q == 2`` and at most
-``eps * q**2`` otherwise, and never decreases.
+below it becomes zero.  The rule runs on integer grid counts: with
+``steps = 1/eps``, label i's count is ``ceil(a_i * steps)``, taken on
+the numerator and denominator of ``a_i``, and a ``Fraction`` is built
+only for each returned coordinate (for ``q == 2`` only the mass on
+label 1).  The snapped distribution stochastically dominates the
+original (every upper tail weakly grows), which is what preserves hull
+feasibility for upward-closed constraints; rounding the low labels up
+instead can push a solution out of the hull.  The objective increases
+by at most ``eps`` for ``q == 2`` and at most ``eps * q**2`` otherwise,
+and never decreases.
 
 ``round_solution`` then groups vertices into buckets by their snapped
 value and returns the cheapest feasible assignment that is constant on
-each bucket.  It collapses every bucket to one vertex
-(``collapse(inst, perturb(inst, x, eps).bucket_of)``, with bucket ``b``
-named ``v<b>``), solves that instance with the exact search
-``model.cheapest_labeling``, which bounds its ``q**m`` labelings by the
-ENUM cap, and lifts the bucket labels back to the vertices.  The snap
-is also the grid test: a solution is on the eps-grid exactly when
-``perturb`` leaves it unchanged, and ``dictators.generate_dict`` checks
-its input that way.
+each bucket.  It is ``round_perturbed`` of the snap: that collapses
+every bucket to one vertex (``collapse(inst, pert.bucket_of)``, with
+bucket ``b`` named ``v<b>``), solves that instance with the exact
+search ``model.cheapest_labeling``, which bounds its ``q**m`` labelings
+by the ENUM cap, and lifts the bucket labels back to the vertices.  The
+snap is also the grid test: a solution is on the eps-grid exactly when
+``perturb`` leaves it unchanged.  ``dictators.generate_dict`` checks its
+input that way and keeps the snap, so ``dict-check`` rounds it with
+``round_perturbed`` instead of snapping again.
 """
 
 from __future__ import annotations
@@ -37,14 +42,12 @@ from .model import (
     Instance,
     Point,
     PropertyViolation,
-    ZERO,
-    ONE,
     brute_force_opt,
     cheapest_labeling,
     collapse,
-    distribution_point,
-    point_distribution,
+    grid_point,
     solution_in_domain,
+    upper_masses,
 )
 
 
@@ -56,19 +59,22 @@ def check_grid_fraction(eps) -> Fraction:
     return eps
 
 
-def _ceil_to_grid(a: Fraction, eps: Fraction) -> Fraction:
-    return eps * -(-a // eps)
-
-
 def perturb_point(q: int, pt: Point, eps: Fraction) -> Point:
-    # rounded[i - 1] is label i; label 0 absorbs the rest, unrounded
-    rounded = [_ceil_to_grid(a, eps) for a in point_distribution(q, pt)[1:]]
-    kept = ZERO
+    """Snap one point in grid steps: ``c_i = ceil(a_i * steps)`` for
+    labels ``i >= 1``, ``steps = 1/eps``, on integer numerators; only
+    the returned point is built of ``Fraction``s."""
+    if eps.numerator != 1:  # not 1/steps: check_grid_fraction refuses it
+        check_grid_fraction(eps)
+    steps = eps.denominator
+    counts = [-(-a.numerator * steps // a.denominator)
+              for a in upper_masses(q, pt)]  # counts[i - 1] is label i
+    kept = 0
     i = q - 1
-    while i > 0 and kept + rounded[i - 1] <= 1:
-        kept += rounded[i - 1]
+    while i > 0 and kept + counts[i - 1] <= steps:
+        kept += counts[i - 1]
         i -= 1
-    return distribution_point(q, [ZERO] * i + [ONE - kept] + rounded[i:])
+    # labels below i get nothing, label i the rest
+    return grid_point(q, [0] * i + [steps - kept] + counts[i:], steps)
 
 
 @dataclass
@@ -99,11 +105,10 @@ def grid_points(q: int, eps) -> list:
 
     Each splits the ``1/eps`` grid steps into q parts at ``q - 1`` cuts.
     """
-    eps = check_grid_fraction(eps)
-    steps = int(1 / eps)
+    steps = int(1 / check_grid_fraction(eps))
     cuts = itertools.combinations_with_replacement(range(steps + 1), q - 1)
-    return sorted(distribution_point(q, [eps * (b - a) for a, b in
-                                         zip((0,) + c, c + (steps,))])
+    return sorted(grid_point(q, [b - a for a, b in
+                                 zip((0,) + c, c + (steps,))], steps)
                   for c in cuts)
 
 
@@ -143,14 +148,19 @@ class RoundResult:
 
 
 def round_solution(inst: Instance, x: Sequence[Point], eps) -> RoundResult:
-    """Cheapest feasible assignment that is constant on snapped buckets.
+    """Cheapest feasible assignment that is constant on snapped buckets:
+    ``round_perturbed`` of ``perturb(inst, x, eps)``."""
+    return round_perturbed(inst, perturb(inst, x, eps))
+
+
+def round_perturbed(inst: Instance, pert: PerturbedSolution) -> RoundResult:
+    """Bucket rounding of a snap ``pert`` of a solution of ``inst``.
 
     Solves the bucket-collapsed instance exactly (``q**m`` candidates,
     bounded by the ENUM cap) and lifts the optimum back to the
     vertices; ties go to the lexicographically least labeling in bucket
     order.
     """
-    pert = perturb(inst, x, eps)
     value, z = cheapest_labeling(collapse(inst, pert.bucket_of))
     labels = tuple(z[b] for b in pert.bucket_of)
     return RoundResult(value, labels, pert.bucket_values)

@@ -20,7 +20,8 @@ Phase 1 starts from one artificial variable per row and drives their
 sum to zero.  Artificials never re-enter, so their columns are not
 stored.  Rows whose artificial cannot be pivoted out are redundant and
 are dropped, so the final basis has one column per independent row.
-An empty ``A`` takes the same path: no rows, so the optimum is the
+``find_feasible_point`` stops there, with the basis phase 2 would start
+from, which on an all-zero cost is also the one it ends with.  An empty ``A`` takes the same path: no rows, so the optimum is the
 origin unless some cost is negative, in which case the LP is unbounded.
 """
 
@@ -128,14 +129,12 @@ def _bland_loop(rows, dens, basis, obj, ncols) -> bool:
         _pivot(rows, dens, basis, obj, leave, enter)
 
 
-def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
-    """Solve ``min c.z : A z = b, z >= 0`` exactly.
-
-    Returns a basic optimal solution; the same input always yields the
-    same basis and values.
-    """
+def _phase1(A: Sequence, b: Sequence, n: int):
+    """Phase 1 on ``A z = b, z >= 0`` with ``n`` columns, artificials
+    driven out and redundant rows dropped: the integer rows, their
+    denominators and the basis of a basic feasible point, or None when
+    the system is infeasible."""
     m = len(A)
-    n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
 
@@ -150,7 +149,7 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
         dens.append(d)
     basis = [n + i for i in range(m)]
 
-    # phase 1: minimize the sum of artificials
+    # minimize the sum of artificials
     d = lcm(*dens)
     cost = [0] * (n + 1)
     for row, di in zip(rows, dens):
@@ -162,7 +161,7 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
     if not _bland_loop(rows, dens, basis, obj, n):  # the sum is bounded below
         raise PropertyViolation("phase 1 unbounded")
     if obj[0][-1] != 0:
-        return SimplexResult(INFEASIBLE, None, None, None)
+        return None
 
     # pivot artificials out of the basis (the phase-1 objective is done
     # with); drop redundant rows
@@ -174,9 +173,30 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
                 continue  # redundant row
             _pivot(rows, dens, basis, None, i, enter)
         keep.append(i)
-    rows = [rows[i] for i in keep]
-    dens = [dens[i] for i in keep]
-    basis = [basis[i] for i in keep]
+    return ([rows[i] for i in keep], [dens[i] for i in keep],
+            [basis[i] for i in keep])
+
+
+def _optimal(rows, dens, basis, n, objective) -> SimplexResult:
+    """The basic point of a final tableau, all ``n`` decision variables
+    with zeros included, as the optimal result."""
+    values = [ZERO] * n
+    for row, di, bi in zip(rows, dens, basis):
+        values[bi] = Fraction(row[-1], di)
+    return SimplexResult(OPTIMAL, objective, values, tuple(sorted(basis)))
+
+
+def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
+    """Solve ``min c.z : A z = b, z >= 0`` exactly.
+
+    Returns a basic optimal solution; the same input always yields the
+    same basis and values.
+    """
+    n = len(c)
+    start = _phase1(A, b, n)
+    if start is None:
+        return SimplexResult(INFEASIBLE, None, None, None)
+    rows, dens, basis = start
 
     # phase 2: reduced costs of the original objective
     obj = list(_int_row(list(c) + [0]))
@@ -186,15 +206,17 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
             obj[1] = _eliminate(obj[0], obj[1], rows[i], dens[i], nz, bi)
     if not _bland_loop(rows, dens, basis, obj, n):
         return SimplexResult(UNBOUNDED, None, None, None)
-
-    values = [ZERO] * n
-    for row, di, bi in zip(rows, dens, basis):
-        values[bi] = Fraction(row[-1], di)
-    objective = Fraction(-obj[0][-1], obj[1])
-    return SimplexResult(OPTIMAL, objective, values, tuple(sorted(basis)))
+    return _optimal(rows, dens, basis, n, Fraction(-obj[0][-1], obj[1]))
 
 
 def find_feasible_point(A: Sequence, b: Sequence) -> SimplexResult:
-    """Phase-1 only: a deterministic basic feasible point of ``Az=b, z>=0``."""
+    """Phase 1 only: a deterministic basic feasible point of ``Az=b, z>=0``.
+
+    The point, basis and status are those of ``solve_standard_form`` with
+    an all-zero cost, whose phase 2 never pivots; the objective is 0.
+    """
     n = len(A[0]) if A else 0
-    return solve_standard_form(A, b, [ZERO] * n)
+    start = _phase1(A, b, n)
+    if start is None:
+        return SimplexResult(INFEASIBLE, None, None, None)
+    return _optimal(*start, n, ZERO)

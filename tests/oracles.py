@@ -329,6 +329,25 @@ def cheapest_labeling_exhaustive(q: int, weights: list, edges: list):
     return Fraction(best, scale), best_labels
 
 
+def snap_by_fractions(q: int, pt, eps: Fraction):
+    """The eps-grid snap of one point, on ``Fraction``s throughout.
+
+    From the top label down, each coordinate rounds up to a multiple of
+    eps while the running mass stays within one; the first that would
+    overflow takes the rest and every lower label gets zero.  A point is
+    its mass on label 1 for q = 2 and its label distribution otherwise.
+    """
+    dist = (1 - pt, pt) if q == 2 else tuple(pt)
+    rounded = [eps * -(-a // eps) for a in dist[1:]]  # label i at i - 1
+    kept = Fraction(0)
+    i = q - 1
+    while i > 0 and kept + rounded[i - 1] <= 1:
+        kept += rounded[i - 1]
+        i -= 1
+    out = [Fraction(0)] * i + [1 - kept] + rounded[i:]
+    return out[1] if q == 2 else tuple(out)
+
+
 def round_by_enumeration(q: int, weights: list, snapped: list, edges: list):
     """Best assignment constant on groups of equal snapped values.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from smcsp import caps, cli, io, model, simplex, unique_games
+from smcsp import caps, cli, io, model, rounding, simplex, unique_games
 from smcsp.dictators import dict_view, pseudo_random_check
 from smcsp.randgen import vc_edge
 from smcsp.unique_games import (UgInstance, completeness_solution, compose,
@@ -362,6 +362,35 @@ def test_dict_check(tmp_path, capsys):
                        "--delta", "1/10", "--r", "2", "--solution", sol)
     assert code == 3
     assert "edge 0: solution is not hull-feasible" in err
+
+
+def test_dict_check_snaps_the_solution_once(capsys, monkeypatch):
+    calls = []
+    snap = rounding.perturb_point
+
+    def counted(*args):
+        calls.append(args)
+        return snap(*args)
+
+    monkeypatch.setattr(rounding, "perturb_point", counted)
+    code, out, _ = run(capsys, "dict-check", hvc3(), "--eps", "1/3",
+                       "--delta", "1/10", "--r", "2", "--solution",
+                       uniform_solution(), "--json")
+    assert code == 0
+    # one snap of hvc3's 3 vertices: the grid check, which the rounding
+    # reuses
+    assert len(calls) == 3
+    doc = json.loads(out)
+    assert doc["round_value"] == doc["bucket_constant_opt"] == "1/1"
+
+
+def test_dict_check_refuses_an_off_grid_solution(capsys):
+    code, out, err = run(capsys, "dict-check", hvc3(), "--eps", "1/2",
+                         "--delta", "1/10", "--r", "2", "--solution",
+                         uniform_solution())
+    assert (code, out) == (3, "")
+    assert ("solution entries off the eps-grid: ['v0', 'v1', 'v2']"
+            in err)
 
 
 @pytest.mark.parametrize("command", ["dict", "dict-check"])

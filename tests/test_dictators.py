@@ -194,6 +194,38 @@ def test_blowup_is_the_blowup_of_the_quotient(case, r, delta):
     assert collapse(D.instance, [b for b, _ in D.points]) == quotient
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(snapped_sources(), st.integers(1, 2),
+       st.sampled_from([F(1, 10), F(1, 3)]), st.integers(0, 2**32 - 1))
+def test_integer_weights_equal_the_fraction_formulas(case, r, delta, seed):
+    inst, x, eps = case
+    q = inst.q
+    _, values, bucket_of = bucket_map(x)
+    D = generate_dict(inst, x, r, delta, eps)
+    # a part of the quotient weighs the Fraction sum of its members
+    quotient = collapse(inst, bucket_of)
+    assert quotient.weights == tuple(
+        sum((w for w, b in zip(inst.weights, bucket_of) if b == part), F(0))
+        for part in range(len(values)))
+    # a blowup vertex weighs its cube's times the product of the tilted
+    # masses of its string, multiplied out one Fraction at a time
+    for w, (b, y) in zip(D.instance.weights, D.points):
+        tilt = [(1 - delta) * a for a in
+                ((1 - values[b], values[b]) if q == 2 else values[b])]
+        tilt[-1] += delta
+        prob = F(1)
+        for a in y:
+            prob *= tilt[a]
+        assert w == quotient.weights[b] * prob
+        assert cube_measure(q, D.tilde_values[b], y) == prob
+    # a labeling costs the Fraction sum of weight times label
+    rng = random.Random(seed)
+    for target in (inst, quotient, D.instance):
+        labels = [rng.randrange(q) for _ in range(target.n)]
+        assert assignment_cost(target, labels) == sum(
+            (w * a for w, a in zip(target.weights, labels)), F(0))
+
+
 # ---------------------------------------------------------------------------
 # dictators
 # ---------------------------------------------------------------------------

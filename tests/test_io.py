@@ -48,8 +48,8 @@ def test_parse_rational_rejects_noncanonical(bad):
      "part of 5000 digits, past the 4300-digit limit of Python's int"),
     ("-" + "7" * 4301 + "/3", "--eps: rational '-7777777777777777777...' "
      "has a part of 4301 digits, past the 4300-digit limit of Python's int"),
-    # a long part that is no number stays malformed
-    ("1/" + "x" * 4301, f"--eps: malformed rational '1/{'x' * 4301}'"),
+    # a long part that is no number stays malformed, its echo cut
+    ("1/" + "x" * 4301, f"--eps: malformed rational '1/{'x' * 18}...'"),
 ], ids=["denominator", "numerator", "no-number"])
 def test_parse_rational_names_the_int_digit_limit(value, message):
     limit = sys.get_int_max_str_digits()
@@ -59,6 +59,21 @@ def test_parse_rational_names_the_int_digit_limit(value, message):
             io.parse_rational(value, "--eps")
     finally:
         sys.set_int_max_str_digits(limit)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/2/" + "3" * 4000, "w: malformed rational '1/2/3333333333333333...'"),
+    ("+" + "1" * 4000 + "/3",
+     "w: malformed rational '+1111111111111111111...'"),
+    ("1/-" + "3" * 4000, "w: denominator must be positive in "
+     "'1/-33333333333333333...'"),
+    ("2" * 4000 + "/" + "4" * 4000, "w: non-canonical rational "
+     "'22222222222222222222...' (must be in lowest terms)"),
+], ids=["parts", "spelling", "denominator", "lowest-terms"])
+def test_parse_rational_refusals_clip_their_echo(value, message):
+    with pytest.raises(io.ParseError) as info:
+        io.parse_rational(value, "w")
     assert str(info.value) == message
 
 

@@ -61,6 +61,35 @@ def test_always_false_predicate_rejected():
     assert pred.validate()
 
 
+def test_malformed_predicate_refused_with_the_same_message_each_time():
+    pred = Predicate("bad", 2, 2, ((0, 1), (1, 1)))
+    message = ("invalid instance: predicate bad: (0, 1) and (1, 1) are "
+               "comparable (minimal set must be an antichain)")
+    for _ in range(2):  # the second refusal reads the cached check
+        with pytest.raises(ValueError) as info:
+            make_instance(2, [F(1, 2)] * 2, [pred], [((0, 1), 0)])
+        assert str(info.value) == message
+
+
+def test_predicate_is_validated_once_per_object(monkeypatch):
+    calls = []
+    validate = Predicate.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Predicate, "validate", counted)
+    pred = covering_predicate(2)
+    for _ in range(3):
+        make_instance(2, [F(1, 2)] * 2, [pred], [((0, 1), 0)])
+    assert calls == [pred]
+    twin = covering_predicate(2)  # equal, but another object
+    make_instance(2, [F(1, 2)] * 2, [twin], [((0, 1), 0)])
+    assert len(calls) == 2 and calls[1] is twin
+    assert pred.problems == twin.problems == ()
+
+
 # ---------------------------------------------------------------------------
 # instance validation
 # ---------------------------------------------------------------------------

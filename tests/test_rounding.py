@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from smcsp.caps import CapExceeded
 from smcsp.lp import check_feasible_fractional, lp_value, solve_lp, val
-from smcsp.model import (Predicate, brute_force_opt, collapse,
+from smcsp.model import (Predicate, brute_force_opt, collapse, label_point,
                          make_instance, mix_points, point_in_domain,
                          point_value, tilted_value)
 from smcsp.randgen import (hvc, random_cover_instance,
@@ -36,6 +36,9 @@ def test_grid_fraction_must_be_unit_fraction():
     for bad in (F(2, 5), F(0), F(3, 2), -F(1, 4)):
         with pytest.raises(ValueError):
             check_grid_fraction(bad)
+        # the snap of one point reads eps as 1/steps, so it checks too
+        with pytest.raises(ValueError, match="1/eps integral"):
+            perturb_point(2, F(1, 3), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +158,47 @@ def test_binary_points_embed_in_the_ternary_simplex(a, b, c, k, any_x):
 
 
 def test_grid_points_are_snap_fixed_points():
-    for q, eps in [(3, F(1, 2)), (3, F(1, 3)), (4, F(1, 2))]:
-        for pt in grid_points(q, eps):
-            assert perturb_point(q, pt, eps) == pt
+    # the corners, 0 and 1 for q = 2, included; the Fraction rule agrees
+    for q in (2, 3, 4):
+        for k in range(1, 13):
+            eps = F(1, k)
+            corners = [label_point(q, a) for a in range(q)]
+            for pt in grid_points(q, eps) + corners:
+                assert perturb_point(q, pt, eps) == pt
+                assert repr(perturb_point(q, pt, eps)) == repr(
+                    oracles.snap_by_fractions(q, pt, eps))
+
+
+@st.composite
+def snap_inputs(draw):
+    """``(q, eps, points)``: eps = 1/k with k <= 12 and points in the
+    domain, each drawn on a random denominator or on the grid itself,
+    so grid points and the corners 0 and 1 come up too."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 12))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = draw(st.one_of(st.just(k), st.integers(1, 120)))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=q - 1,
+                                    max_size=q - 1)))
+        dist = [F(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+        points.append(dist[1] if q == 2 else tuple(dist))
+    return q, F(1, k), points
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(snap_inputs())
+def test_integer_snap_equals_the_fraction_snap(case):
+    q, eps, points = case
+    want = [oracles.snap_by_fractions(q, pt, eps) for pt in points]
+    # repr also tells an int coordinate from a Fraction one
+    assert [repr(perturb_point(q, pt, eps)) for pt in points] == \
+        [repr(pt) for pt in want]
+    inst = make_instance(q, [F(1, len(points))] * len(points), [], [])
+    pert = perturb(inst, points, eps)
+    assert pert.x_eps == want
+    assert pert.bucket_values == sorted(set(want))
+    assert [pert.bucket_values[b] for b in pert.bucket_of] == want
 
 
 # ---------------------------------------------------------------------------

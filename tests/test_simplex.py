@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -209,6 +209,24 @@ def test_matches_dense_bland_oracle(lp_input):
                   bounds=[(0, None)] * len(c), method="highs")
     assert res.status == 0, res.message
     assert abs(res.fun - float(objective)) <= 1e-7 * (1 + abs(res.fun))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(standard_forms())
+# feasible; infeasible; a copied row and a zero row, both redundant
+@example(([[1, 1, -1]], [2], [], False))
+@example(([[1, 1], [1, 1]], [1, 2], [], False))
+@example(([[1, 2, 0], [2, 4, 0], [0, 0, 0]], [1, 2, 0], [], False))
+def test_find_feasible_point_is_phase_one_of_the_zero_cost_solve(lp_input):
+    A, b = lp_input[:2]
+    n = len(A[0]) if A else 0
+    got = find_feasible_point(A, b)
+    want = solve_standard_form(A, b, [0] * n)
+    assert (got.status, got.basis, got.values, got.objective) == \
+        (want.status, want.basis, want.values, want.objective)
+    # and the dense reference, which runs phase 2 on the zero cost
+    assert (got.status, got.objective, got.values, got.basis) == \
+        oracles.bland_dense(A, b, [0] * n)
 
 
 # sha256 of every pinned Bland result below; it changes only if some
