@@ -191,12 +191,36 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _composed_as_written(game, dict_path: str, text: str):
+    """``(compose(game, D), D)`` for the hypercubes D in ``dict_path``
+    when ``text`` is byte for byte what ``reduce`` writes for them, else
+    ``None``.
+
+    Serialization is canonical, so such a text parses to exactly that
+    instance and F need not be parsed.  Any error on the way (a bad dict
+    file, other label ranges, a cap) returns ``None`` too, so that the
+    parse path raises it in its usual order.
+    """
+    try:
+        D = dict_view(_load_instance(dict_path))
+        composed = compose(game, D)
+    except (OSError, ValueError, CapExceeded):
+        return None
+    if io.serialize_instance(composed) != text:
+        return None
+    return composed, D
+
+
 def cmd_decode(args) -> int:
     game = io.parse_ug(_read(args.ug))
-    composed = _load_instance(args.f)
+    text = _read(args.f)
+    rebuilt = (_composed_as_written(game, args.dict, text) if args.dict
+               else None)
+    composed, D = rebuilt or (io.parse_instance(text), None)
     selection = io.parse_assignment(_read(args.solution), composed)
-    D = dict_view(_load_instance(args.dict)) if args.dict else None
-    D = composed_cubes(game, composed, D)
+    if rebuilt is None:
+        D = dict_view(_load_instance(args.dict)) if args.dict else None
+        D = composed_cubes(game, composed, D)
     labels, table = decode_labeling(game, D, selection, tau=_tau(args),
                                     d=args.d)
     satisfied = ug_satisfied_weight(game, labels)

@@ -63,7 +63,7 @@ def parse_rational(value, what: str = "value") -> Fraction:
         return Fraction(value)
     if type(value) is not str:
         raise ParseError(f"{what}: expected 'num/den' string or integer, "
-                         f"got {value!r}")
+                         f"got {clip(repr(value))}")
     parts = value.split("/")
     if len(parts) != 2:
         raise ParseError(f"{what}: malformed rational {clip(value)!r}")

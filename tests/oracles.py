@@ -8,6 +8,7 @@ real check rather than the same code evaluated twice.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -542,6 +543,22 @@ def compose_reference(ug, D) -> tuple:
                     for j in range(k))
                 edge_set.add((verts, edge.predicate))
     return ids, weights, sorted(edge_set)
+
+
+def relabel_game(ug, left: list, right: list):
+    """``ug`` with its i-th left id renamed ``left[i]`` and its i-th right
+    id ``right[i]``; the order, the edges and the labels stay.  ``ug`` is
+    a dataclass read by attribute only."""
+    return dataclasses.replace(ug, left=tuple(left), right=tuple(right))
+
+
+def relabel_selection(labels: dict, old_left, new_left) -> dict:
+    """A selection keyed by composed id ``<left-id>/<cube-id>``, in the
+    composed order (one block of cube ids per left vertex, in left
+    order), rekeyed for the game whose left ids are ``new_left``."""
+    cube = len(labels) // len(old_left)
+    return {new_left[k // cube] + vid[len(old_left[k // cube]):]: a
+            for k, (vid, a) in enumerate(labels.items())}
 
 
 def decode_reference(ug, D, selection: dict, *, tau: float = 0.0,

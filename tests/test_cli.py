@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,10 +14,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smcsp import caps, cli, io, model, rounding, simplex, unique_games
 from smcsp.dictators import dict_view, pseudo_random_check
-from smcsp.randgen import vc_edge
+from smcsp.randgen import random_game, random_instance, vc_edge
 from smcsp.unique_games import (UgInstance, completeness_solution, compose,
                                 decode_labeling)
 
@@ -336,6 +339,102 @@ def test_decode_checks_the_composed_edges(tmp_path, capsys, monkeypatch,
         assert run(capsys, *argv) == (3, "", message)
 
 
+@pytest.mark.parametrize("optimized", [False, True])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_decode_of_a_relaid_composed_file_prints_the_same(
+        tmp_path, capsys, monkeypatch, json_flag, optimized):
+    """Of the file ``reduce`` wrote, decode parses only the dict file; a
+    composed file in another layout takes the parse path and prints the
+    same, also under ``-O``."""
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
+    relaid = tmp_path / "relaid.json"
+    relaid.write_text(json.dumps(json.loads(composed_file.read_text())))
+    texts = []
+    parse = io.parse_instance
+    monkeypatch.setattr(io, "parse_instance",
+                        lambda text: texts.append(text) or parse(text))
+    results, parsed = [], []
+    for path in (composed_file, relaid):
+        texts.clear()
+        argv = ["decode", "--f", path, "--solution", sel_file, "--ug",
+                game_file, "--dict", dict_file, *json_flag]
+        if optimized:
+            done = subprocess.run(
+                [sys.executable, "-O", "-m", "smcsp.cli", *map(str, argv)],
+                capture_output=True, text=True, env=_src_env(), timeout=120)
+            results.append((done.returncode, done.stdout, done.stderr))
+        else:
+            results.append(run(capsys, *argv))
+        parsed.append(list(texts))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+    if not optimized:
+        # the relaid file is parsed after the rebuild fails to match it
+        cubes = dict_file.read_text()
+        assert parsed == [[cubes], [cubes, relaid.read_text(), cubes]]
+
+
+@st.composite
+def reduce_chains(draw):
+    """(base instance, r, game, selection seed) for a dict -> reduce chain
+    small enough to run through the command line many times."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = random_instance(rng, 2, draw(st.integers(2, 4)),
+                           draw(st.integers(1, 2)), 3)
+    r = draw(st.integers(1, 4))
+    game, _ = random_game(rng, r, draw(st.integers(1, 3)),
+                          draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+    return base, r, game, draw(st.integers(0, 2**32 - 1))
+
+
+# each example drains capsys through ``run``, and undoes its own patch,
+# so sharing the fixtures is safe
+@settings(derandomize=True, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reduce_chains())
+def test_decode_paths_agree(tmp_path_factory, capsys, monkeypatch, chain):
+    """decode --json prints what the parse path prints: on the file
+    ``reduce`` wrote, which is rebuilt, on that file laid out otherwise,
+    and on one of the same length with two vertices swapped."""
+    base, r, game, seed = chain
+    work = tmp_path_factory.mktemp("chain")
+    files = {k: work / f"{k}.json" for k in
+             ("base", "dict", "game", "composed", "relaid", "swapped", "sel")}
+    files["base"].write_text(io.serialize_instance(base))
+    files["game"].write_text(io.serialize_ug(game))
+    assert run(capsys, "dict", files["base"], "--eps", "1/2", "--delta",
+               "1/10", "--r", r, "-o", files["dict"])[0] == 0
+    assert run(capsys, "reduce", "--ug", files["game"], "--dict",
+               files["dict"], "-o", files["composed"])[0] == 0
+    text = files["composed"].read_text()
+    doc = json.loads(text)
+    files["relaid"].write_text(json.dumps(doc))
+    bits = random.Random(seed)
+    files["sel"].write_text(json.dumps(
+        {"labels": {v["id"]: bits.randrange(2) for v in doc["vertices"]}}))
+    vertices = doc["vertices"]
+    i, j = bits.sample(range(len(vertices)), 2)
+    vertices[i], vertices[j] = vertices[j], vertices[i]
+    files["swapped"].write_text(json.dumps(doc, indent=2) + "\n")
+    assert len(files["swapped"].read_text()) == len(text)
+
+    def decode(name):
+        return run(capsys, "decode", "--f", files[name], "--solution",
+                   files["sel"], "--ug", files["game"], "--dict",
+                   files["dict"], "--json")
+
+    names = ("composed", "relaid", "swapped")
+    printed = [decode(name) for name in names]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_composed_as_written", lambda *args: None)
+        parsed = [decode(name) for name in names]
+    assert printed == parsed
+    assert printed[0][0] == 0
+    assert printed[1] == printed[0]
+    assert printed[2][0] == 3
+
+
 def test_dict_output_is_deterministic(tmp_path, capsys):
     vc = tmp_path / "vc.json"
     vc.write_text(io.serialize_instance(vc_edge()))
@@ -533,6 +632,18 @@ def test_bad_document_is_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "lp", bad)
     assert code == 3
     assert "weights sum to 3/4" in err
+
+
+def test_a_long_non_string_weight_is_echoed_clipped(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "vc_edge.json").read_text())
+    doc["vertices"][0]["weight"] = [1] * 3000
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "oracle", bad)
+    assert (code, out) == (3, "")
+    assert err == ("error: weight of u: expected 'num/den' string or "
+                   "integer, got [1, 1, 1, 1, 1, 1, 1...\n")
+    assert len(err.encode()) < 120
 
 
 def test_usage_error_is_exit_2(capsys):
