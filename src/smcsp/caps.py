@@ -22,6 +22,7 @@ _DEFAULTS = {
     "FOURIER": 20,   # Fourier table length: 2**r <= 2**FOURIER
     "UG": 20,        # game brute force r**|U|, composed vertices and
                      # composed constraint tuples: each <= 2**UG
+    "PIVOT": 16,     # pivots of one exact simplex solve <= 2**PIVOT
 }
 
 

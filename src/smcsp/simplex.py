@@ -1,37 +1,50 @@
 """Exact two-phase primal simplex over rationals.
 
-Solves ``min c.z  s.t.  A z = b, z >= 0`` for rational (``Fraction`` or
-``int``) input.  Pivoting uses Bland's rule (smallest eligible column;
-ties in the ratio test broken by the smallest basic variable index),
-which guarantees termination and makes the returned basic optimal
-solution a deterministic function of the input matrices.
+Solves ``min c.z  s.t.  A z = b, z >= 0`` for rational input: every
+entry must be exactly an ``int`` or a ``Fraction``, and any other type
+(``float``, ``bool``, a numpy scalar) is refused with ``TypeError``
+before a pivot is taken.  Pivoting uses Bland's rule (smallest eligible
+column; ties in the ratio test broken by the smallest basic variable
+index), which guarantees termination and makes the returned basic
+optimal solution a deterministic function of the input matrices.
 
 The tableau is fraction-free: each row, the objective row included, is
 a list of Python ints ``N`` with one positive denominator ``D``, and
 stands for ``N / D`` (Edmonds 1967; Bareiss 1968).  Every sign test and
-ratio comparison is made on the integers, a pivot updates only the rows
-with a nonzero pivot-column entry and only on the pivot row's nonzero
-columns, and each updated row is divided by ``gcd(D, *N)``.  Results
-are exact, so the pivot sequence is the one Bland's rule takes over the
-rationals; ``Fraction`` appears only at the boundary, in the values and
-objective of the result.
+ratio comparison is made on the integers.  Each pivot gathers once the
+rows with a nonzero entry in the entering column; the ratio test reads
+that list and the update touches only those rows, and only on the pivot
+row's nonzero columns.  When the pivot row reduces to a unit pivot with
+denominator 1, each row is updated inline and divided by
+``gcd(D, *N)`` only if its own ``D`` is not 1; any other pivot scales
+and reduces each row in ``_eliminate``.  Results are exact, so the pivot
+sequence is the one Bland's rule takes over the rationals; ``Fraction``
+appears only at the boundary, in the values and objective of the result.
 
 Phase 1 starts from one artificial variable per row and drives their
 sum to zero.  Artificials never re-enter, so their columns are not
 stored.  Rows whose artificial cannot be pivoted out are redundant and
 are dropped, so the final basis has one column per independent row.
 ``find_feasible_point`` stops there, with the basis phase 2 would start
-from, which on an all-zero cost is also the one it ends with.  An empty ``A`` takes the same path: no rows, so the optimum is the
-origin unless some cost is negative, in which case the LP is unbounded.
+from, which on an all-zero cost is also the one it ends with.  An empty
+``A`` takes the same path: no rows, so the optimum is the origin unless
+some cost is negative, in which case the LP is unbounded.
+
+One solve, phase 1, the drive-out of artificials and phase 2 together,
+takes at most ``2**cap("PIVOT")`` pivots; the next one raises
+``CapExceeded`` (``SMCSP_CAP_PIVOT`` overrides the budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import attrgetter, itemgetter, neg
 from typing import Sequence
 
+from .caps import cap, refuse
 from .model import PropertyViolation
 
 ZERO = Fraction(0)
@@ -39,6 +52,11 @@ ZERO = Fraction(0)
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_INT = {int}
+_EXACT = {int, Fraction}
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 @dataclass
@@ -49,12 +67,38 @@ class SimplexResult:
     basis: tuple | None        # sorted column indices of the final basis
 
 
-def _int_row(vals):
-    """Integers ``N`` and a denominator ``D > 0`` with ``N / D == vals``
-    (``int`` or ``Fraction`` entries)."""
-    d = lcm(*[v.denominator for v in vals])
+class _Pivots:
+    """The pivots one solve has taken, against the PIVOT cap read once."""
+
+    __slots__ = ("taken", "limit")
+
+    def __init__(self):
+        self.taken = 0
+        # no solve reaches 2**63 pivots, and a huge cap builds no number
+        self.limit = 1 << min(cap("PIVOT"), 63)
+
+    def take(self):
+        self.taken += 1
+        if self.taken > self.limit:
+            refuse("PIVOT", "exact simplex pivots", str(self.taken))
+
+
+def _int_row(vals: list):
+    """Integers ``N`` and a denominator ``D > 0`` with ``N / D == vals``.
+
+    Raises ``TypeError`` for an entry whose type is not exactly ``int``
+    or ``Fraction``.  ``vals`` itself is returned when it holds only ints.
+    """
+    kinds = set(map(type, vals))
+    if kinds <= _INT:
+        return vals, 1
+    if not kinds <= _EXACT:
+        bad = next(type(v) for v in vals if type(v) not in _EXACT)
+        raise TypeError("exact simplex entries must be int or Fraction, "
+                        f"got {bad.__name__}")
+    d = lcm(*set(map(_DENOMINATOR, vals)))
     if d == 1:
-        return [v.numerator for v in vals], 1
+        return list(map(_NUMERATOR, vals)), 1
     return [v.numerator * (d // v.denominator) for v in vals], d
 
 
@@ -85,37 +129,62 @@ def _eliminate(row, d, prow, pd, nz, c):
     return _reduce(row, d)
 
 
-def _pivot(rows, dens, basis, obj, r, c):
-    """Pivot on ``rows[r][c]``; ``obj`` is ``[N, D]`` or None."""
+def _pivot(rows, dens, basis, obj, r, c, col):
+    """Pivot on ``rows[r][c]``; ``col`` lists the rows with a nonzero
+    entry in column c, and ``obj`` is ``[N, D]``, negative in column c
+    (c enters), or None."""
     prow = rows[r]
     p = prow[c]
     if p < 0:
-        prow[:] = [-a for a in prow]
+        prow[:] = map(neg, prow)
         p = -p
     pd = dens[r] = _reduce(prow, p)
-    nz = [j for j, a in enumerate(prow) if a]
-    for i, row in enumerate(rows):
-        if i != r and row[c]:
-            dens[i] = _eliminate(row, dens[i], prow, pd, nz, c)
-    if obj is not None and obj[0][c]:
-        obj[1] = _eliminate(obj[0], obj[1], prow, pd, nz, c)
+    nz = list(compress(range(len(prow)), prow))
+    if pd == 1:  # prow[c] == 1: row -= row[c] * prow, no scaling
+        pairs = list(zip(nz, compress(prow, prow)))
+        for i in col:
+            if i != r:
+                row = rows[i]
+                f = row[c]
+                for j, a in pairs:
+                    row[j] -= f * a
+                if dens[i] != 1:
+                    dens[i] = _reduce(row, dens[i])
+        if obj is not None:
+            costs = obj[0]
+            f = costs[c]
+            for j, a in pairs:
+                costs[j] -= f * a
+            if obj[1] != 1:
+                obj[1] = _reduce(costs, obj[1])
+    else:
+        for i in col:
+            if i != r:
+                dens[i] = _eliminate(rows[i], dens[i], prow, pd, nz, c)
+        if obj is not None:
+            obj[1] = _eliminate(obj[0], obj[1], prow, pd, nz, c)
     basis[r] = c
 
 
-def _bland_loop(rows, dens, basis, obj, ncols) -> bool:
+def _bland_loop(rows, dens, basis, obj, ncols, pivots) -> bool:
     """Minimize ``obj`` (reduced costs, minus the objective last).
 
     Returns True at an optimum and False when the entering column has
     no positive entry, i.e. the objective is unbounded below.
     """
     costs = obj[0]  # updated in place by _pivot
+    index = range(len(rows))
     while True:
-        enter = next((j for j in range(ncols) if costs[j] < 0), -1)
-        if enter < 0:
+        for enter in range(ncols):
+            if costs[enter] < 0:
+                break
+        else:
             return True
+        col = list(compress(index, map(itemgetter(enter), rows)))
         # ratio rhs / a, compared by cross-multiplication (a > 0)
         leave = -1
-        for i, row in enumerate(rows):
+        for i in col:
+            row = rows[i]
             a = row[enter]
             if a > 0:
                 if leave < 0:
@@ -126,10 +195,11 @@ def _bland_loop(rows, dens, basis, obj, ncols) -> bool:
                     leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
             return False
-        _pivot(rows, dens, basis, obj, leave, enter)
+        pivots.take()
+        _pivot(rows, dens, basis, obj, leave, enter, col)
 
 
-def _phase1(A: Sequence, b: Sequence, n: int):
+def _phase1(A: Sequence, b: Sequence, n: int, pivots: _Pivots):
     """Phase 1 on ``A z = b, z >= 0`` with ``n`` columns, artificials
     driven out and redundant rows dropped: the integer rows, their
     denominators and the basis of a basic feasible point, or None when
@@ -141,25 +211,24 @@ def _phase1(A: Sequence, b: Sequence, n: int):
     # rows [A_i | b_i] with nonnegative right-hand side; row i starts
     # with its artificial n + i basic
     rows, dens = [], []
-    for i in range(m):
-        row, d = _int_row(list(A[i]) + [b[i]])
+    for a_row, rhs in zip(A, b):
+        if type(rhs) is Fraction and rhs.denominator == 1:
+            rhs = rhs.numerator  # keeps an int A row on the fast path
+        row, d = _int_row([*a_row, rhs])
         if row[-1] < 0:
-            row = [-a for a in row]
+            row = list(map(neg, row))
         rows.append(row)
         dens.append(d)
     basis = [n + i for i in range(m)]
 
-    # minimize the sum of artificials
+    # minimize the sum of artificials: minus the column sums of the rows
     d = lcm(*dens)
-    cost = [0] * (n + 1)
-    for row, di in zip(rows, dens):
-        k = d // di
-        for j, a in enumerate(row):
-            if a:
-                cost[j] -= a * k
+    scaled = [row if di == d else [a * (d // di) for a in row]
+              for row, di in zip(rows, dens)]
+    cost = list(map(neg, map(sum, zip(*scaled)))) if m else [0] * (n + 1)
     obj = [cost, _reduce(cost, d)]
-    if not _bland_loop(rows, dens, basis, obj, n):  # the sum is bounded below
-        raise PropertyViolation("phase 1 unbounded")
+    if not _bland_loop(rows, dens, basis, obj, n, pivots):
+        raise PropertyViolation("phase 1 unbounded")  # the sum is >= 0
     if obj[0][-1] != 0:
         return None
 
@@ -168,10 +237,12 @@ def _phase1(A: Sequence, b: Sequence, n: int):
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j in range(n) if rows[i][j]), None)
+            enter = next(compress(range(n), rows[i]), None)
             if enter is None:
                 continue  # redundant row
-            _pivot(rows, dens, basis, None, i, enter)
+            pivots.take()
+            col = [k for k, row in enumerate(rows) if row[enter]]
+            _pivot(rows, dens, basis, None, i, enter, col)
         keep.append(i)
     return ([rows[i] for i in keep], [dens[i] for i in keep],
             [basis[i] for i in keep])
@@ -182,7 +253,8 @@ def _optimal(rows, dens, basis, n, objective) -> SimplexResult:
     with zeros included, as the optimal result."""
     values = [ZERO] * n
     for row, di, bi in zip(rows, dens, basis):
-        values[bi] = Fraction(row[-1], di)
+        if row[-1]:
+            values[bi] = Fraction(row[-1], di)
     return SimplexResult(OPTIMAL, objective, values, tuple(sorted(basis)))
 
 
@@ -193,18 +265,19 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
     same basis and values.
     """
     n = len(c)
-    start = _phase1(A, b, n)
+    obj = list(_int_row([*c, 0]))
+    pivots = _Pivots()
+    start = _phase1(A, b, n, pivots)
     if start is None:
         return SimplexResult(INFEASIBLE, None, None, None)
     rows, dens, basis = start
 
     # phase 2: reduced costs of the original objective
-    obj = list(_int_row(list(c) + [0]))
     for i, bi in enumerate(basis):
         if obj[0][bi]:
-            nz = [j for j, a in enumerate(rows[i]) if a]
+            nz = list(compress(range(n + 1), rows[i]))
             obj[1] = _eliminate(obj[0], obj[1], rows[i], dens[i], nz, bi)
-    if not _bland_loop(rows, dens, basis, obj, n):
+    if not _bland_loop(rows, dens, basis, obj, n, pivots):
         return SimplexResult(UNBOUNDED, None, None, None)
     return _optimal(rows, dens, basis, n, Fraction(-obj[0][-1], obj[1]))
 
@@ -215,8 +288,8 @@ def find_feasible_point(A: Sequence, b: Sequence) -> SimplexResult:
     The point, basis and status are those of ``solve_standard_form`` with
     an all-zero cost, whose phase 2 never pivots; the objective is 0.
     """
-    n = len(A[0]) if A else 0
-    start = _phase1(A, b, n)
+    n = len(A[0]) if len(A) else 0
+    start = _phase1(A, b, n, _Pivots())
     if start is None:
         return SimplexResult(INFEASIBLE, None, None, None)
     return _optimal(*start, n, ZERO)

@@ -170,23 +170,32 @@ def composed_cubes(ug: UgInstance, F: Instance,
     """The hypercubes that ``F`` composes ``ug`` with.
 
     Without ``D`` they are recovered from the first left copy with edge
-    mass: its ids past ``<left-id>/`` and its weights over that mass.
-    Raises ``ValueError`` unless F's vertex ids and weights are those of
-    ``compose(ug, D)``.
+    mass: ``compose`` lays out one equal block of vertices per left
+    vertex, in left order, so copy u is block u, and the cube's ids are
+    its ids past ``<left-id>/`` and its weights over that mass.  (Ids
+    that merely start with ``<left-id>/`` can belong to another left
+    vertex, such as ``a/x`` beside ``a``.)  Raises ``ValueError`` unless
+    F's vertex ids and weights are those of ``compose(ug, D)``.
     """
     if D is None:
         # a valid game's edge masses sum to 1, so some left vertex has mass
         mass, u = next((mass, u) for u, mass in enumerate(ug.by_vertex[2])
                        if mass > 0)
         prefix = ug.left[u] + "/"
-        copy = [(vid[len(prefix):], w / mass)
-                for vid, w in zip(F.vertex_ids, F.weights)
-                if vid.startswith(prefix)]
-        if not copy:
+        size, extra = divmod(len(F.vertex_ids), len(ug.left))
+        block = range(u * size, (u + 1) * size)
+        ids = [F.vertex_ids[i][len(prefix):] for i in block
+               if F.vertex_ids[i].startswith(prefix)]
+        if not ids:
             raise ValueError(f"cannot recover cube structure: no composed "
                              f"vertex belongs to left vertex {ug.left[u]!r} "
                              f"(pass --dict)")
-        ids, weights = zip(*copy)
+        if extra or len(ids) < size:
+            raise ValueError(f"cannot recover cube structure: the composed "
+                             f"vertices are not {len(ug.left)} equal "
+                             f"blocks, block {u} all under {prefix!r} "
+                             f"(pass --dict)")
+        weights = [F.weights[i] / mass for i in block]
         D = dict_view(make_instance(F.q, weights, [], [], ids))
     want = composed_vertex_ids(ug, D)
     if list(F.vertex_ids) != list(want):

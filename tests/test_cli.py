@@ -167,6 +167,42 @@ def test_dict_reduce_decode_round_trip(tmp_path, capsys):
         assert err == "error: degree bound must be nonnegative\n"
 
 
+def test_decode_tells_apart_left_ids_that_share_a_prefix(tmp_path, capsys):
+    # every id of the copy of "a/x" also starts with "a/"
+    dict_file, game_file, composed_file = (
+        tmp_path / "dict.json", tmp_path / "game.json", tmp_path / "f.json")
+    assert run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps", "1/2",
+               "--delta", "1/10", "--r", "2", "-o", dict_file)[0] == 0
+    ug = UgInstance(2, ("a", "a/x"), ("v",),
+                    ((0, 0, F(1, 2), (0, 1)), (1, 0, F(1, 2), (1, 0))))
+    game_file.write_text(io.serialize_ug(ug))
+    assert run(capsys, "reduce", "--ug", game_file, "--dict", dict_file,
+               "-o", composed_file)[0] == 0
+    D = dict_view(io.parse_instance(dict_file.read_text()))
+    Finst = io.parse_instance(composed_file.read_text())
+    selection, _ = completeness_solution(ug, {"a": 0, "a/x": 1, "v": 0}, D,
+                                         Finst)
+    sel_file = tmp_path / "sel.json"
+    sel_file.write_text(io.serialize_assignment(Finst, selection))
+    for extra in ([], ["--dict", dict_file]):
+        assert run(capsys, "decode", "--f", composed_file, "--solution",
+                   sel_file, "--ug", game_file, *extra) == (
+            0, "a = 0\na/x = 1\nv = 0\nsatisfied weight: 1\n", "")
+
+
+def test_decode_without_dict_reads_whole_blocks(tmp_path, capsys):
+    dict_file, game_file, composed_file, sel_file = _reduce_pipeline(
+        tmp_path, capsys)
+    # the first vertex of L0's block moves under L1
+    for path in (composed_file, sel_file):
+        path.write_text(path.read_text().replace('"L0/b0:y00"', '"L1/b9"'))
+    assert run(capsys, "decode", "--f", composed_file, "--solution",
+               sel_file, "--ug", game_file) == (
+        3, "", "error: cannot recover cube structure: the composed "
+               "vertices are not 2 equal blocks, block 0 all under 'L0/' "
+               "(pass --dict)\n")
+
+
 def test_decode_tau_is_rational(tmp_path, capsys):
     dict_file, game_file, composed_file, _ = _reduce_pipeline(tmp_path,
                                                               capsys)
@@ -659,6 +695,16 @@ def test_cap_is_exit_4(tmp_path, capsys, monkeypatch):
                        "1/10", "--r", "4", "-o", tmp_path / "d.json")
     assert code == 4
     assert "SMCSP_CAP_DICT" in err
+
+
+def test_lp_past_the_pivot_cap_is_exit_4(capsys, monkeypatch):
+    # the hull LP of hvc3 takes 4 pivots
+    monkeypatch.setenv("SMCSP_CAP_PIVOT", "2")
+    assert run(capsys, "lp", hvc3())[0] == 0
+    monkeypatch.setenv("SMCSP_CAP_PIVOT", "1")
+    assert run(capsys, "lp", hvc3()) == (
+        4, "", "error: exact simplex pivots: 3 exceeds 2^1 "
+               "(SMCSP_CAP_PIVOT)\n")
 
 
 def test_dict_refuses_a_large_r_before_building_its_count(tmp_path, capsys,

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import oracles
-from smcsp import io, lp, randgen
+from smcsp import caps, io, lp, randgen, simplex
+from smcsp.caps import CapExceeded
 from smcsp.rounding import perturb
 from smcsp.simplex import find_feasible_point, solve_standard_form
 
@@ -51,10 +52,13 @@ def test_matches_scipy_on_random_programs():
     assert hits >= 20
 
 
+# two phase-1 pivots and one phase-2 pivot
+BASIC = ([[F(1), F(1), F(1)], [F(1), F(2), F(0)]], [F(1), F(1)],
+         [F(3), F(1), F(2)])
+
+
 def test_solution_is_basic_and_exact():
-    A = [[F(1), F(1), F(1)], [F(1), F(2), F(0)]]
-    b = [F(1), F(1)]
-    c = [F(3), F(1), F(2)]
+    A, b, c = BASIC
     res = solve_standard_form(A, b, c)
     assert res.status == "optimal"
     assert res.objective == F(3, 2)
@@ -123,6 +127,16 @@ def test_degenerate_cycling_terminates():
     res = solve_standard_form(A, b, c)
     assert res.status == "optimal"
     assert res.objective == F(-1, 20)
+
+
+def test_drive_out_updates_every_row():
+    # phase 1 ends with row 1's artificial basic at zero; driving it out
+    # on column 1 must also update row 0, which phase 2 then reads
+    A, b, c = [[2, 1, 1, 2], [1, -1, -1, 0]], [0, 0], [1, 1, -1, 1]
+    got = solve_standard_form(A, b, c)
+    assert got.basis == (0, 2)
+    assert (got.status, got.objective, got.values, got.basis) == \
+        oracles.bland_dense(A, b, c)
 
 
 def test_find_feasible_point():
@@ -211,6 +225,17 @@ def test_matches_dense_bland_oracle(lp_input):
     assert abs(res.fun - float(objective)) <= 1e-7 * (1 + abs(res.fun))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(2, 6), st.integers(1, 6),
+       st.integers(0, 2**32))
+def test_hull_lps_match_dense_bland_oracle(q, n, m, seed):
+    # real hull tableaux: integer rows, unit pivots, degenerate ties
+    prob = lp.build_lp(randgen.random_instance(random.Random(seed), q, n, m))
+    got = solve_standard_form(prob.A, prob.b, prob.c)
+    assert (got.status, got.objective, got.values, got.basis) == \
+        oracles.bland_dense(prob.A, prob.b, prob.c)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(standard_forms())
 # feasible; infeasible; a copied row and a zero row, both redundant
@@ -281,3 +306,92 @@ def _pinned_records():
 def test_bland_results_pinned():
     text = json.dumps(_pinned_records(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BLAND_DIGEST
+
+
+# sha256 of the (row, column) of every pivot that _pinned_records takes,
+# phase 1, the drive-out of artificials and phase 2 alike
+PIVOT_PATH_DIGEST = ("48cf00c27210b66f0fd4085174928ba8"
+                     "dc955e5a07a5e39cf6f6f1af5d3d2266")
+
+
+def test_bland_pivot_path_pinned(monkeypatch):
+    path = []
+    pivot = simplex._pivot
+
+    def recording(rows, dens, basis, obj, r, c, *rest):
+        path.append([r, c])
+        return pivot(rows, dens, basis, obj, r, c, *rest)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    _pinned_records()
+    assert len(path) == 980
+    assert hashlib.sha256(json.dumps(path).encode()).hexdigest() == \
+        PIVOT_PATH_DIGEST
+
+
+@pytest.mark.parametrize("bad", [0.5, True, np.int64(1), np.float64(1)],
+                         ids=["float", "bool", "int64", "float64"])
+@pytest.mark.parametrize("where", ["A", "b", "c"])
+def test_refuses_entries_that_are_not_int_or_fraction(bad, where):
+    A, b, c = [[1, F(1, 2), 0]], [1], [1, 0, 0]
+    {"A": A[0], "b": b, "c": c}[where][0] = bad
+    message = f"must be int or Fraction, got {type(bad).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        solve_standard_form(A, b, c)
+    if where != "c":
+        with pytest.raises(TypeError, match=message):
+            find_feasible_point(A, b)
+
+
+def test_refuses_numpy_integers_that_would_wrap():
+    # int64 arithmetic wraps on this LP and used to return basis (0, 2)
+    # with objective -1099511627785/7
+    A = [[2**40, 3, 1, 0], [7, 2**40 + 1, 0, 1]]
+    b = [2**41 + 5, 2**40 + 9]
+    c = [-1, -1, 0, 0]
+    res = solve_standard_form(A, b, c)
+    assert res.basis == (0, 1)
+    assert res.objective == F(-157685976471425565760465,
+                              52561992157205595057997)
+    wide = np.array(A, dtype=np.int64)
+    for system in ((wide, b), (list(wide), b),
+                   (A, np.array(b, dtype=np.int64))):
+        with pytest.raises(TypeError, match="got int64$"):
+            solve_standard_form(*system, c)
+        with pytest.raises(TypeError, match="got int64$"):
+            find_feasible_point(*system)
+    with pytest.raises(TypeError, match="got int64$"):
+        solve_standard_form(A, b, np.array(c, dtype=np.int64))
+
+
+def test_pivot_cap_bounds_one_solve(monkeypatch):
+    taken, reads = [], []
+    pivot = simplex._pivot
+
+    def counting(*args):
+        taken.append(args[4:6])
+        return pivot(*args)
+
+    def reading(name):
+        reads.append(name)
+        return caps.cap(name)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    monkeypatch.setattr(simplex, "cap", reading)
+    monkeypatch.setenv("SMCSP_CAP_PIVOT", "1")
+    # phase 1 fits in 2**1 pivots ...
+    assert find_feasible_point(*BASIC[:2]).status == "optimal"
+    assert (len(taken), reads) == (2, ["PIVOT"])
+    # ... and the solve's one phase-2 pivot is its third
+    with pytest.raises(CapExceeded) as exc:
+        solve_standard_form(*BASIC)
+    assert str(exc.value) == \
+        "exact simplex pivots: 3 exceeds 2^1 (SMCSP_CAP_PIVOT)"
+    monkeypatch.setenv("SMCSP_CAP_PIVOT", "2")
+    taken.clear()
+    reads.clear()
+    assert solve_standard_form(*BASIC).objective == F(3, 2)
+    assert (len(taken), reads) == (3, ["PIVOT"])
+    # a cap of any size builds no number
+    monkeypatch.setenv("SMCSP_CAP_PIVOT", str(10**30))
+    assert solve_standard_form(*BASIC).objective == F(3, 2)
