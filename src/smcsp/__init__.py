@@ -30,8 +30,8 @@ from .dictators import (DictInstance, generate_dict, dictator_assignment,
 from .unique_games import (UgInstance, validate_ug, ug_satisfied_weight,
                            ug_brute_force, compose, completeness_solution,
                            decode_labeling)
-from .fourier import (BiasedFourierExpansion, biased_fourier, influence,
-                      influences, conditional_variance_influence)
+from .fourier import (BiasedFourierExpansion, biased_fourier, influences,
+                      conditional_variance_influence)
 from .gaussian import (gamma, gamma_mc, gamma_recursive, gamma_power,
                        check_gamma_inequalities)
 from .randgen import (random_instance, random_cover_instance,
@@ -62,7 +62,7 @@ __all__ = [
     "bucket_constant_opt", "pseudo_random_check", "dict_view",
     "UgInstance", "validate_ug", "ug_satisfied_weight", "ug_brute_force",
     "compose", "completeness_solution", "decode_labeling",
-    "BiasedFourierExpansion", "biased_fourier", "influence", "influences",
+    "BiasedFourierExpansion", "biased_fourier", "influences",
     "conditional_variance_influence",
     "gamma", "gamma_mc", "gamma_recursive", "gamma_power",
     "check_gamma_inequalities",

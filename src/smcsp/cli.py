@@ -37,13 +37,6 @@ from .unique_games import (compose, composed_cubes, decode_labeling,
 ZERO = Fraction(0)
 
 
-def _emit(args, doc: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(io.to_json(doc), indent=2))
-    else:
-        print(human)
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -73,7 +66,7 @@ def _tau(args) -> Fraction:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_lp(args) -> int:
+def cmd_lp(args) -> tuple:
     inst = _load_instance(args.instance)
     sol = solve_lp(inst)
     doc = {"objective": sol.objective,
@@ -91,11 +84,10 @@ def cmd_lp(args) -> int:
         for e_idx, lam in enumerate(sol.lambdas):
             for t, p in sorted(lam.items()):
                 lines.append(f"edge {e_idx}: {t} -> {p}")
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return doc, "\n".join(lines)
 
 
-def cmd_round(args) -> int:
+def cmd_round(args) -> tuple:
     inst = _load_instance(args.instance)
     eps = io.parse_rational(args.eps, "--eps")
     if args.report:
@@ -117,11 +109,10 @@ def cmd_round(args) -> int:
         for key in ("round_over_opt", "opt_over_lp"):
             ratio = rep[key]
             lines.append(f"{key} = {'n/a' if ratio is None else ratio}")
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return doc, "\n".join(lines)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple:
     inst = _load_instance(args.instance)
     opt, labels = brute_force_opt(inst)
     doc = {"opt": opt,
@@ -129,8 +120,7 @@ def cmd_oracle(args) -> int:
                                                     labels)}}
     lines = [str(opt)]
     lines += [f"{vid} = {a}" for vid, a in zip(inst.vertex_ids, labels)]
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return doc, "\n".join(lines)
 
 
 def _generated_dict(args, inst):
@@ -142,7 +132,7 @@ def _generated_dict(args, inst):
     return generate_dict(inst, x, args.r, delta, eps)
 
 
-def cmd_dict(args) -> int:
+def cmd_dict(args) -> tuple:
     inst = _load_instance(args.instance)
     D = _generated_dict(args, inst)
     _write(args.output, io.serialize_instance(D.instance))
@@ -153,11 +143,10 @@ def cmd_dict(args) -> int:
     human = (f"wrote {args.output}: {doc['vertices']} vertices, "
              f"{doc['edges']} constraints, {D.m} cubes, r={D.r}, "
              f"dictator weight {doc['dictator_weight']}")
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def cmd_dict_check(args) -> int:
+def cmd_dict_check(args) -> tuple:
     inst = _load_instance(args.instance)
     D = _generated_dict(args, inst)
     report = completeness_check(D)
@@ -174,11 +163,10 @@ def cmd_dict_check(args) -> int:
              f"{report['dictator_cost']} "
              f"(bound {report['bound']})\n"
              f"cube-constant optimum = rounding value = {bco}")
-    _emit(args, doc, human)
-    return 0
+    return doc, human
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple:
     game = io.parse_ug(_read(args.ug))
     D = dict_view(_load_instance(args.dict))
     composed = compose(game, D)
@@ -186,9 +174,8 @@ def cmd_reduce(args) -> int:
     doc = {"vertices": len(composed.vertex_ids),
            "edges": len(composed.edges),
            "left": game.n_left, "right": game.n_right}
-    _emit(args, doc, f"wrote {args.output}: {doc['vertices']} vertices, "
-          f"{doc['edges']} constraints")
-    return 0
+    return doc, (f"wrote {args.output}: {doc['vertices']} vertices, "
+                 f"{doc['edges']} constraints")
 
 
 def _composed_as_written(game, dict_path: str, text: str):
@@ -211,7 +198,7 @@ def _composed_as_written(game, dict_path: str, text: str):
     return composed, D
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple:
     game = io.parse_ug(_read(args.ug))
     text = _read(args.f)
     rebuilt = (_composed_as_written(game, args.dict, text) if args.dict
@@ -229,15 +216,13 @@ def cmd_decode(args) -> int:
     lines = [f"{vid} = {labels[vid]}"
              for vid in list(game.left) + list(game.right)]
     lines.append(f"satisfied weight: {satisfied}")
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return doc, "\n".join(lines)
 
 
-def cmd_analyze_gamma(args) -> int:
+def cmd_analyze_gamma(args) -> tuple:
     value = gamma(args.rho, args.mu, args.nu)
-    _emit(args, {"rho": args.rho, "mu": args.mu, "nu": args.nu,
-                 "gamma": value}, f"{value:.12f}")
-    return 0
+    return ({"rho": args.rho, "mu": args.mu, "nu": args.nu, "gamma": value},
+            f"{value:.12f}")
 
 
 def _parse_split(text: str, arity: int):
@@ -258,7 +243,7 @@ def _parse_split(text: str, arity: int):
     return sides
 
 
-def cmd_analyze_correlation(args) -> int:
+def cmd_analyze_correlation(args) -> tuple:
     inst = _load_instance(args.instance)
     if not inst.edges:
         raise ValueError("--edge: the instance has no edges")
@@ -275,11 +260,10 @@ def cmd_analyze_correlation(args) -> int:
              f"bound = {report['bound']:.9f}\n"
              f"connected = {report['connected']}\n"
              f"ok = {report['ok']}")
-    _emit(args, report, human)
-    return 0
+    return report, human
 
 
-def cmd_analyze_influences(args) -> int:
+def cmd_analyze_influences(args) -> tuple:
     D = dict_view(_load_instance(args.dict_file))
     labels = io.parse_assignment(_read(args.assignment), D.instance)
     if args.p:
@@ -296,11 +280,10 @@ def cmd_analyze_influences(args) -> int:
                  f"{report['argmax']}")
     lines.append(f"pseudo-random (tau={tau}, d={d}): "
                  f"{report['pseudo_random']}")
-    _emit(args, report, "\n".join(lines))
-    return 0
+    return report, "\n".join(lines)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     ids = None
     if args.criteria and args.criteria != ["all"]:
         ids, unread = [], []
@@ -315,8 +298,7 @@ def cmd_check(args) -> int:
     reports = acceptance.run(ids)
     doc = {"criteria": reports,
            "passed": all(r["passed"] for r in reports)}
-    _emit(args, doc, acceptance.render(reports))
-    return 0 if doc["passed"] else 1
+    return doc, acceptance.render(reports), 0 if doc["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +410,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        doc, human, *code = args.func(args)
+        print(json.dumps(io.to_json(doc), indent=2) if args.json else human)
+        return code[0] if code else 0
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -248,34 +248,18 @@ def _require_boolean(D: DictInstance) -> None:
         raise ValueError("subset analysis is defined for q = 2 only")
 
 
-def cube_tables(D: DictInstance, values: Sequence) -> list:
-    """The m mask-indexed truth tables of a function on D's vertices,
-    given as ``values`` in vertex order, one table per hypercube."""
+def cube_influence_rows(D: DictInstance, values: Sequence, d: int) -> list:
+    """Degree-d influences of a function on D's vertices, given as
+    ``values`` in vertex order: one row per hypercube, under that cube's
+    tilt (``fourier.influences`` owns the measure rules)."""
     _require_boolean(D)
     cube = 2 ** D.r
     offset_of = [0] * cube  # mask -> position of its string in a cube
     for offset, (_, y) in enumerate(D.points[:cube]):
         offset_of[mask_of(y)] = offset
-    return [[values[base + o] for o in offset_of]
-            for base in range(0, len(D.points), cube)]
-
-
-def cube_influences(table: Sequence, tilt, d: int) -> list:
-    """Degree-d influences of a cube function under the tilt's measure.
-
-    A tilt of 0 or 1 makes the cube measure a point mass, under which
-    every influence vanishes: zeros, as floats for a float tilt.  A
-    negative d, or a tilt outside [0, 1], which is no measure, raises
-    ``ValueError``.
-    """
-    if d < 0:
-        raise ValueError("degree bound must be nonnegative")
-    if 0 < tilt < 1:
-        return influences(table, tilt, d=d)
-    if tilt not in (0, 1):
-        raise ValueError(f"tilt {tilt} is outside [0, 1]")
-    zero = 0.0 if isinstance(tilt, float) else ZERO
-    return [zero] * (len(table).bit_length() - 1)
+    return [influences([values[base + o] for o in offset_of], tilt, d=d)
+            for base, tilt in zip(range(0, len(D.points), cube),
+                                  D.tilde_values)]
 
 
 def extract_TJ(D: DictInstance, labels: Sequence[int]) -> dict:
@@ -335,19 +319,16 @@ def pseudo_random_check(D: DictInstance, labels: Sequence[int], tau,
     The verdict is True when every influence is at most tau; all
     influences are exact rationals.
     """
-    tables = cube_tables(D, [1 - a for a in labels])
+    rows = cube_influence_rows(D, [1 - a for a in labels], d)
     tau = Fraction(tau)
     worst = ZERO
     argmax = None
-    table_out = []
-    for b, (table, tilt) in enumerate(zip(tables, D.tilde_values)):
-        row = cube_influences(table, tilt, d)
+    for b, row in enumerate(rows):
         for i, inf in enumerate(row):
             if inf > worst:
                 worst, argmax = inf, (b, i)
-        table_out.append(row)
     return {"tau": tau, "d": d, "max_influence": worst, "argmax": argmax,
-            "pseudo_random": worst <= tau, "influences": table_out}
+            "pseudo_random": worst <= tau, "influences": rows}
 
 
 # ---------------------------------------------------------------------------

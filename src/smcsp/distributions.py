@@ -183,7 +183,9 @@ def _maximal_correlation(matrix) -> float:
         return 0.0
     p1 = [sum(row, ZERO) for row in matrix]
     p2 = [sum(col, ZERO) for col in zip(*matrix)]
-    Q = np.array([[float(a) / math.sqrt(float(s1) * float(s2))
+    # each entry is formed exactly before it becomes a float: the float
+    # product of two tiny marginals underflows to 0
+    Q = np.array([[math.sqrt(float(a * a / (s1 * s2)))
                    for a, s2 in zip(row, p2)]
                   for row, s1 in zip(matrix, p1)])
     sv = np.linalg.svd(Q, compute_uv=False)

@@ -28,6 +28,16 @@ def _is_rational(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _table_mode(table: Sequence, p) -> tuple:
+    """``(r, exact)`` for a table of length 2^r under bias p: exact when
+    p and every entry are rational."""
+    size = len(table)
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"table length {size} is not a power of two")
+    exact = _is_rational(p) and all(_is_rational(v) for v in table)
+    return size.bit_length() - 1, exact
+
+
 @dataclass(frozen=True)
 class BiasedFourierExpansion:
     r: int
@@ -49,17 +59,6 @@ class BiasedFourierExpansion:
     def parseval_sum(self):
         return sum(self.coefficient_sq(m) for m in range(1 << self.r))
 
-    def influences(self, d: int) -> list:
-        """Degree-d influence of every coordinate i: the sum, in mask
-        order, of the squared coefficients of the masks of at most d
-        coordinates that contain i."""
-        if d < 0:
-            raise ValueError("degree bound must be nonnegative")
-        low = [(m, self.coefficient_sq(m)) for m in range(1 << self.r)
-               if m.bit_count() <= d]
-        return [sum(sq for m, sq in low if m >> i & 1)
-                for i in range(self.r)]
-
 
 def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
     """Expand a value table of length 2^r against the p-biased basis.
@@ -69,12 +68,9 @@ def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
     the FOURIER cap, and rational mode by ``r <= EXACT_MAX_R``; both
     raise ``CapExceeded``.
     """
-    size = len(table)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"table length {size} is not a power of two")
-    r = size.bit_length() - 1
+    r, exact = _table_mode(table, p)
+    size = 1 << r
     check_bits("FOURIER", size, "Fourier table length")
-    exact = _is_rational(p) and all(_is_rational(v) for v in table)
     if exact:
         if r > EXACT_MAX_R:
             raise CapExceeded(f"rational mode supports r <= {EXACT_MAX_R}, "
@@ -102,18 +98,31 @@ def biased_fourier(table: Sequence, p) -> BiasedFourierExpansion:
     return BiasedFourierExpansion(r, p, exact, tuple(work))
 
 
-def influence(table: Sequence, i: int, p, *, d: int | None = None):
-    """Inf_i of the table's function; degree-d truncation when d given."""
-    row = influences(table, p, d=d)
-    if not 0 <= i < len(row):
-        raise ValueError(f"coordinate {i} out of range for r={len(row)}")
-    return row[i]
-
-
 def influences(table: Sequence, p, *, d: int | None = None) -> list:
-    """Inf_i for every coordinate i; degree-d truncation when d given."""
+    """Degree-d influence of every coordinate i (all degrees when d is
+    None): the sum, in mask order, of the squared coefficients of the
+    masks of at most d coordinates that contain i.
+
+    The bias is first put in the table's mode (a float unless p and the
+    table are rational).  A bias of 0 or 1 then makes the measure a
+    point mass, under which every influence vanishes: zeros of that
+    mode.  A negative d, or a bias outside [0, 1], which is no measure,
+    raises ``ValueError``.
+    """
+    r, exact = _table_mode(table, p)
+    if d is None:
+        d = r
+    if d < 0:
+        raise ValueError("degree bound must be nonnegative")
+    p = Fraction(p) if exact else float(p)
+    if p in (0, 1):
+        return [Fraction(0) if exact else 0.0] * r
+    if not 0 < p < 1:
+        raise ValueError(f"tilt {p} is outside [0, 1]")
     expansion = biased_fourier(table, p)
-    return expansion.influences(expansion.r if d is None else d)
+    low = [(m, expansion.coefficient_sq(m)) for m in range(1 << r)
+           if m.bit_count() <= d]
+    return [sum(sq for m, sq in low if m >> i & 1) for i in range(r)]
 
 
 def conditional_variance_influence(table: Sequence, i: int, p):
@@ -124,17 +133,13 @@ def conditional_variance_influence(table: Sequence, i: int, p):
     y_i is p(1-p) times their squared difference.  Serves as an
     independent cross-check of the coefficient route.
     """
-    size = len(table)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"table length {size} is not a power of two")
-    r = size.bit_length() - 1
+    r, exact = _table_mode(table, p)
     if not 0 <= i < r:
         raise ValueError(f"coordinate {i} out of range for r={r}")
-    exact = _is_rational(p) and all(_is_rational(v) for v in table)
     p = Fraction(p) if exact else float(p)
     bit = 1 << i
     total = Fraction(0) if exact else 0.0
-    for mask in range(size):
+    for mask in range(1 << r):
         if mask & bit:
             continue
         ones = (mask & ~bit).bit_count()

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .caps import check_bits
-from .dictators import (DictInstance, cube_influences, cube_tables, dict_view,
+from .dictators import (DictInstance, cube_influence_rows, dict_view,
                         dictator_assignment, dictator_weight,
                         require_generated)
 from .model import (EdgeRows, Instance, PropertyViolation, assignment_cost,
@@ -382,9 +382,7 @@ def decode_labeling(ug: UgInstance, D: DictInstance, labels: Sequence[int],
             for i, a in enumerate(pulled[row_of[u, perm]]):
                 average[i] += coeff * (1 - a)
         per_i = [0.0] * r
-        rows = [cube_influences(table, float(tilt), d)
-                for table, tilt in zip(cube_tables(D, average),
-                                       D.tilde_values)]
+        rows = cube_influence_rows(D, average, d)
         for row in rows:
             for i, inf in enumerate(row):
                 per_i[i] = max(per_i[i], inf)

@@ -482,6 +482,52 @@ def influence_by_restriction(table: list, i: int, p: float, r: int) -> float:
     return p * (1 - p) * total
 
 
+def cube_tables(D, values: list) -> list:
+    """The m mask-indexed truth tables of a function on D's vertices,
+    given as ``values`` in vertex order, one table per hypercube: the
+    package's reader before the influence rows had one owner.  ``D`` is
+    read by attribute only."""
+    cube = 2 ** D.r
+    offset_of = [0] * cube
+    for offset, (_, y) in enumerate(D.points[:cube]):
+        offset_of[sum(a << i for i, a in enumerate(y))] = offset
+    return [[values[base + o] for o in offset_of]
+            for base in range(0, len(D.points), cube)]
+
+
+def cube_influences(table: list, tilt, d: int) -> list:
+    """Degree-d influences of a cube function under the tilt's measure,
+    with the measure rules the package kept in one wrapper before
+    ``fourier.influences`` owned them: zeros for a tilt of 0 or 1 (as
+    floats for a float tilt), ``ValueError`` for a negative d or a tilt
+    outside [0, 1].  The expansion is exact when the tilt and the table
+    are rational, and otherwise the float butterfly with the package's
+    operations in its order, so floats compare exactly."""
+    if d < 0:
+        raise ValueError("degree bound must be nonnegative")
+    if not 0 < tilt < 1:
+        if tilt not in (0, 1):
+            raise ValueError(f"tilt {tilt} is outside [0, 1]")
+        zero = 0.0 if isinstance(tilt, float) else Fraction(0)
+        return [zero] * (len(table).bit_length() - 1)
+    exact = all(isinstance(v, (int, Fraction)) for v in [tilt, *table])
+    p = Fraction(tilt) if exact else float(tilt)
+    work = [Fraction(v) if exact else float(v) for v in table]
+    size = len(work)
+    r = size.bit_length() - 1
+    pq = p * (1 - p)
+    for i in range(r):
+        bit = 1 << i
+        for mask in range(size):
+            if not mask & bit:
+                lo, hi = work[mask], work[mask | bit]
+                work[mask] = (1 - p) * lo + p * hi
+                work[mask | bit] = pq * (hi - lo)
+    low = [(m, work[m] * work[m] / pq ** m.bit_count()) for m in range(size)
+           if m.bit_count() <= d]
+    return [sum(sq for m, sq in low if m >> i & 1) for i in range(r)]
+
+
 # ---------------------------------------------------------------------------
 # unique games: independent recount
 # ---------------------------------------------------------------------------
@@ -622,6 +668,49 @@ def decode_reference(ug, D, selection: dict, *, tau: float = 0.0,
         _, v, _, perm = max(incident, key=lambda e: e[2])
         labels[uid] = perm.index(labels[ug.right[v]])
     return labels, influence_table
+
+
+# ---------------------------------------------------------------------------
+# instance transforms on the file document, for relations between runs
+# ---------------------------------------------------------------------------
+# Each takes the JSON document of an instance (``{"q", "vertices",
+# "predicates", "edges"}``, edges naming vertices and predicates) and
+# returns a new one; the input is left as it is.
+
+def relabel_vertices(doc: dict, names: dict, order: list) -> dict:
+    """Every vertex id renamed by ``names``, and the vertices listed with
+    the k-th one at position ``order[k]``."""
+    vertices = [None] * len(doc["vertices"])
+    for k, v in zip(order, doc["vertices"]):
+        vertices[k] = {**v, "id": names[v["id"]]}
+    edges = [{**e, "vertices": [names[vid] for vid in e["vertices"]]}
+             for e in doc["edges"]]
+    return {**doc, "vertices": vertices, "edges": edges}
+
+
+def reorder(doc: dict, key: str, order: list) -> dict:
+    """The ``key`` list (edges or predicates) with its k-th entry at
+    position ``order[k]``; edges name predicates, so nothing else moves."""
+    items = [None] * len(doc[key])
+    for k, item in zip(order, doc[key]):
+        items[k] = item
+    return {**doc, key: items}
+
+
+def duplicate_edge(doc: dict, e: int) -> dict:
+    """A second copy of edge ``e``, appended."""
+    return {**doc, "edges": [*doc["edges"], dict(doc["edges"][e])]}
+
+
+def add_edge(doc: dict, vertices: list, minimal: list) -> dict:
+    """An edge on the vertex ids ``vertices`` under a new predicate with
+    these minimal tuples, appended; ``[[0, ..., 0]]`` accepts every
+    tuple."""
+    name = "added" + "_" * max(len(p["name"]) for p in doc["predicates"])
+    predicate = {"name": name, "arity": len(vertices), "minimal": minimal}
+    return {**doc, "predicates": [*doc["predicates"], predicate],
+            "edges": [*doc["edges"], {"vertices": list(vertices),
+                                      "predicate": name}]}
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,67 @@ def test_analyze_correlation_rejects_bad_split(capsys):
     assert "split" in err
 
 
+def _masses(tmp_path, k: int) -> Path:
+    """A vc_edge solution giving u the mass 10^-k and v the rest."""
+    path = tmp_path / f"x{k}.json"
+    path.write_text(json.dumps({"x": {"u": f"1/{10**k}",
+                                      "v": f"{10**k - 1}/{10**k}"}}))
+    return path
+
+
+def test_correlation_of_tiny_masses(tmp_path, capsys):
+    # the float product of two marginals below 1e-308 used to underflow
+    # to 0 and exit 3 with "float division by zero"
+    docs = []
+    for k in (100, 200, 400):
+        argv = ("analyze", "correlation", FIXTURES / "vc_edge.json",
+                "--edge", "0", "--split", "1|2",
+                "--solution", _masses(tmp_path, k))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["rho = 1.000000000",
+                                        "bound = 1.000000000",
+                                        "connected = False", "ok = True"]
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc.pop("alpha") == f"1/{10**k}"
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2] == {
+        "connected": False, "rho": 1.0, "bound": 1.0, "ok": True}
+
+
+def test_decode_chain_under_a_tilt_below_the_smallest_float(tmp_path,
+                                                            capsys):
+    """A tilt below 1e-308 is a point mass once it is a float, so the
+    decoding reads zeros for it instead of refusing the bias."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"x": {"u": "0/1", "v": "1/1"}}))
+    dict_file, composed = tmp_path / "dict.json", tmp_path / "composed.json"
+    game = FIXTURES / "ug_small.json"
+    assert run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps", "1/2",
+               "--delta", f"1/{10**400}", "--r", "2", "--solution", x,
+               "-o", dict_file)[0] == 0
+    assert run(capsys, "reduce", "--ug", game, "--dict", dict_file,
+               "-o", composed)[:2] == (
+        0, f"wrote {composed}: 16 vertices, 16 constraints\n")
+    ids = [v["id"] for v in json.loads(composed.read_text())["vertices"]]
+    sel = tmp_path / "sel.json"
+    sel.write_text(json.dumps({"labels": {vid: 1 for vid in ids}}))
+    zeros = [[0.0, 0.0], [0.0, 0.0]]
+    for extra in ([], ["--dict", dict_file]):
+        args = ("decode", "--f", composed, "--solution", sel, "--ug", game,
+                *extra)
+        assert run(capsys, *args) == (
+            0, "u0 = 0\nu1 = 1\nv0 = 0\nv1 = 0\nsatisfied weight: 1\n", "")
+        code, out, err = run(capsys, *args, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "labels": {"v0": 0, "v1": 0, "u0": 0, "u1": 1},
+            "satisfied_weight": "1/1",
+            "influences": {"v0": zeros, "v1": zeros}}
+
+
 def test_analyze_influences(tmp_path, capsys):
     vc = tmp_path / "vc.json"
     vc.write_text(io.serialize_instance(vc_edge()))

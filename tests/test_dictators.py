@@ -1,5 +1,7 @@
 """Hypercube blowup: generation, dictator costs, cube-level checks."""
 
+import dataclasses
+import functools
 import itertools
 import random
 import re
@@ -13,7 +15,8 @@ import oracles
 from smcsp import distributions, io
 from smcsp.caps import CapExceeded
 from smcsp.dictators import (bucket_constant_opt, bucket_map,
-                             completeness_check, cube_measure,
+                             completeness_check, cube_influence_rows,
+                             cube_measure,
                              dict_vertex_id, dict_view,
                              dictator_assignment, dictator_weight,
                              extract_TJ, generate_dict,
@@ -34,6 +37,11 @@ def _vc_dict(r=2, delta=F(1, 10), eps=F(1, 2)):
     inst = vc_edge()
     x = [F(1, 2), F(1, 2)]
     return inst, x, generate_dict(inst, x, r, delta, eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _two_cube_dict(r: int):
+    return generate_dict(vc_edge(), [F(0), F(1)], r, F(1, 10), F(1, 2))
 
 
 # the complete 3-uniform cover on 4 vertices: its edges merge in I'
@@ -360,6 +368,38 @@ def test_pseudo_random_check_passes_constants():
     report = pseudo_random_check(D, labels, F(0), 3)
     assert report["max_influence"] == 0
     assert report["pseudo_random"]
+
+
+_TINY = F(1, 10**400)  # below the smallest float: 0.0 once converted
+_TILTS = (st.fractions(0, 1, max_denominator=30)
+          | st.sampled_from([F(0), F(1), _TINY, 1 - _TINY]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_cube_influence_rows_match_the_old_reader(data):
+    """One reader and ``fourier.influences`` give the rows that the old
+    per-cube tables and wrapper gave at their two call sites: the exact
+    tilt under ``analyze influences``, its float under ``decode``.
+    Values and types are compared."""
+    r = data.draw(st.integers(1, 6), label="r")
+    exact = data.draw(st.booleans(), label="exact")
+    D = _two_cube_dict(r)
+    D = dataclasses.replace(D, tilde_values=tuple(
+        data.draw(st.lists(_TILTS, min_size=D.m, max_size=D.m),
+                  label="tilts")))
+    entry = (st.integers(0, 1) | st.fractions(-2, 2, max_denominator=6)
+             if exact else st.floats(-2, 2))
+    values = data.draw(st.lists(entry, min_size=len(D.points),
+                                max_size=len(D.points)), label="values")
+    d = data.draw(st.integers(0, r + 1), label="d")
+    got = cube_influence_rows(D, values, d)
+    want = [oracles.cube_influences(table, tilt if exact else float(tilt), d)
+            for table, tilt in zip(oracles.cube_tables(D, values),
+                                   D.tilde_values)]
+    assert got == want
+    assert ([[type(v) for v in row] for row in got]
+            == [[type(v) for v in row] for row in want])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from smcsp.caps import CapExceeded
 from smcsp.fourier import (biased_fourier, conditional_variance_influence,
-                           dictator_table, influence, influences, mask_of)
+                           dictator_table, influences, mask_of)
 
 
 def _random_table(rng, r, rational=True):
@@ -57,7 +57,7 @@ def test_influence_matches_restriction_oracle():
         p = F(rng.randint(1, 7), 8)
         table = _random_table(rng, r)
         i = rng.randrange(r)
-        got = influence(table, i, p)
+        got = influences(table, p)[i]
         want = oracles.influence_by_restriction(
             [float(v) for v in table], i, float(p), r)
         assert abs(float(got) - want) < 1e-9
@@ -68,7 +68,8 @@ def test_influences_returns_all_coordinates():
     r, p = 4, F(2, 5)
     table = _random_table(rng, r)
     got = influences(table, p)
-    assert got == [influence(table, i, p) for i in range(r)]
+    assert got == [conditional_variance_influence(table, i, p)
+                   for i in range(r)]
 
 
 def test_dictator_influence_is_variance():
@@ -88,14 +89,14 @@ def test_degree_cap_only_lowers_influence():
         p = F(rng.randint(1, 7), 8)
         table = _random_table(rng, r)
         i = rng.randrange(r)
-        full = influence(table, i, p)
+        full = influences(table, p)[i]
         prev = F(0)
         for d in range(1, r + 1):
-            capped = influence(table, i, p, d=d)
+            capped = influences(table, p, d=d)[i]
             assert capped <= full
             assert capped >= prev
             prev = capped
-        assert influence(table, i, p, d=r) == full
+        assert influences(table, p, d=r)[i] == full
 
 
 def test_conditional_variance_route_agrees():
@@ -106,7 +107,7 @@ def test_conditional_variance_route_agrees():
         table = _random_table(rng, r)
         i = rng.randrange(r)
         assert conditional_variance_influence(table, i, p) == \
-            influence(table, i, p)
+            influences(table, p)[i]
 
 
 def test_float_tables_are_accepted():
@@ -121,6 +122,20 @@ def test_float_tables_are_accepted():
 def test_constant_function_has_no_influence():
     table = [F(5, 7)] * 8
     assert influences(table, F(1, 3)) == [0, 0, 0]
+
+
+def test_point_mass_bias_has_no_influence():
+    # the bias is put in the table's mode first, so a tilt below the
+    # smallest float is a point mass for a float table only
+    tiny = F(1, 10**400)
+    rational, floats = [F(0), F(1), F(1), F(0)], [0.0, 1.0, 1.0, 0.0]
+    for p in (0, 1, F(0), F(1)):
+        got = influences(rational, p)
+        assert got == [0, 0] and all(type(v) is F for v in got)
+    for p in (0, 1, 0.0, 1.0, F(1), tiny, 1 - tiny):
+        got = influences(floats, p)
+        assert got == [0.0, 0.0] and all(type(v) is float for v in got)
+    assert influences(rational, tiny) == [tiny * (1 - tiny)] * 2
 
 
 def test_bias_must_be_a_probability():
@@ -144,13 +159,14 @@ _TABLE = [F(0), F(1), F(1), F(0)]
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: influence(_TABLE, 5, F(1, 2)),
-     "coordinate 5 out of range for r=2"),
     (lambda: conditional_variance_influence([F(0)] * 3, 0, F(1, 2)),
      "table length 3 is not a power of two"),
     (lambda: mask_of((0, 2)), "not a boolean string: (0, 2)"),
-    (lambda: biased_fourier(_TABLE, F(1, 2)).influences(-1),
+    (lambda: influences(_TABLE, F(1, 2), d=-1),
      "degree bound must be nonnegative"),
+    (lambda: influences(_TABLE, F(3, 2)), "tilt 3/2 is outside [0, 1]"),
+    (lambda: influences([0.0] * 4, F(-1, 3)),
+     "tilt -0.3333333333333333 is outside [0, 1]"),
 ])
 def test_bad_input_messages_pinned(call, message):
     with pytest.raises(ValueError) as exc:

@@ -2,8 +2,9 @@
 unexported top-level definition is used somewhere in the package, every
 member of a package class is read somewhere, no check is an ``assert``
 statement, only the model reads the rows of an edge list, only the
-file reader and writer pause the garbage collector, and the Gaussian
-layer loads neither scipy's quadrature nor its statistics package."""
+file reader and writer pause the garbage collector, influences and
+command output each have one owner, and the Gaussian layer loads
+neither scipy's quadrature nor its statistics package."""
 
 import ast
 import os
@@ -150,6 +151,40 @@ def test_one_site_pauses_the_collector():
     assert paused == ["_load", "parse_instance", "serialize_instance"]
     # and nowhere else: not called, not passed around
     assert _references(trees["io.py"])["_collector_paused"] == len(paused)
+
+
+def _calls_by_function(name: str, keep=lambda call: True) -> list:
+    """``(module, top-level function)`` of every call of ``name``, as a
+    name or an attribute, in the package that ``keep`` accepts."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and keep(node)
+                        and name in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))):
+                    found.append((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_fourier_owns_the_influence_rules():
+    # one reader turns a cube function into influence rows; the measure
+    # rules (degree bound, point mass, bias range) live in fourier alone
+    callers = {call for call in _calls_by_function("influences")
+               if call[0] != "fourier.py"}
+    assert callers == {("dictators.py", "cube_influence_rows"),
+                       ("acceptance.py", "criterion_12")}
+    for message in ("degree bound must be nonnegative", "is outside [0, 1]"):
+        holders = [path.name for path in sorted(SRC.glob("*.py"))
+                   if message in path.read_text(encoding="utf-8")]
+        assert holders == ["fourier.py"], message
+
+
+def test_main_prints_every_command_output():
+    # commands return (doc, human); main alone writes to stdout
+    to_stdout = _calls_by_function(
+        "print", lambda call: not any(k.arg == "file" for k in call.keywords))
+    assert to_stdout == [("cli.py", "main")]
 
 
 def test_gaussian_layer_leaves_quadrature_and_stats_unimported():
