@@ -15,6 +15,7 @@ influences) are exact Fractions in rational mode and floats otherwise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,6 +23,7 @@ from typing import Sequence
 from .caps import CapExceeded, check_bits
 
 EXACT_MAX_R = 16
+_TINY = sys.float_info.min
 
 
 def _is_rational(value) -> bool:
@@ -51,10 +53,16 @@ class BiasedFourierExpansion:
         return self.p * (1 - self.p)
 
     def coefficient_sq(self, mask: int):
-        """The squared coefficient of chi_S, exact in rational mode."""
+        """The squared coefficient of chi_S, exact in rational mode; in
+        float mode rounded once from the exact quotient when a float
+        square would lose bits below the smallest normal float."""
         c = self.moments[mask]
         size = mask.bit_count()
-        return c * c / self.variance_unit ** size
+        num, den = c * c, self.variance_unit ** size
+        if not self.exact and (den < _TINY or c and num < _TINY):
+            return float(Fraction(c) ** 2
+                         / Fraction(self.variance_unit) ** size)
+        return num / den
 
     def parseval_sum(self):
         return sum(self.coefficient_sq(m) for m in range(1 << self.r))

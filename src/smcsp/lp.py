@@ -229,10 +229,10 @@ def standard_hvc_lp(inst: Instance) -> Fraction:
     A: list = []
     b: list = []
     for eidx, e in enumerate(inst.edges):
-        row = [ZERO] * ncols
+        row = [0] * ncols
         for v in e.vertices:
-            row[v] += ONE
-        row[n + eidx] = -ONE
+            row[v] += 1
+        row[n + eidx] = -1
         A.append(row)
         b.append(ONE)
     c = list(inst.weights) + [ZERO] * m

@@ -8,27 +8,29 @@ column; ties in the ratio test broken by the smallest basic variable
 index), which guarantees termination and makes the returned basic
 optimal solution a deterministic function of the input matrices.
 
-The tableau is fraction-free: each row, the objective row included, is
-a list of Python ints ``N`` with one positive denominator ``D``, and
-stands for ``N / D`` (Edmonds 1967; Bareiss 1968).  Every sign test and
-ratio comparison is made on the integers.  Each pivot gathers once the
-rows with a nonzero entry in the entering column; the ratio test reads
-that list and the update touches only those rows, and only on the pivot
-row's nonzero columns.  When the pivot row reduces to a unit pivot with
-denominator 1, each row is updated inline and divided by
-``gcd(D, *N)`` only if its own ``D`` is not 1; any other pivot scales
-and reduces each row in ``_eliminate``.  Results are exact, so the pivot
-sequence is the one Bland's rule takes over the rationals; ``Fraction``
-appears only at the boundary, in the values and objective of the result.
+The tableau is fraction-free: each row is a list of Python ints ``N``
+with one positive denominator ``D``, and stands for ``N / D`` (Edmonds
+1967; Bareiss 1968); the objective is its last row, reduced costs with
+minus the objective value last.  Every sign test and ratio comparison
+is made on the integers.  Each pivot gathers once the rows with a
+nonzero entry in the entering column, the objective row among them
+(negative there, so it never leaves), and ``_clear`` updates only those
+rows, on the pivot row's nonzero columns: a row is scaled only when the
+pivot row's ``D`` is not 1, and divided by ``gcd(D, *N)`` only when its
+own ``D`` is not 1.  Results are exact, so the pivot sequence is the
+one Bland's rule takes over the rationals; ``Fraction`` appears only at
+the boundary, in the values and objective of the result.
 
 Phase 1 starts from one artificial variable per row and drives their
 sum to zero.  Artificials never re-enter, so their columns are not
-stored.  Rows whose artificial cannot be pivoted out are redundant and
-are dropped, so the final basis has one column per independent row.
-``find_feasible_point`` stops there, with the basis phase 2 would start
-from, which on an all-zero cost is also the one it ends with.  An empty
-``A`` takes the same path: no rows, so the optimum is the origin unless
-some cost is negative, in which case the LP is unbounded.
+stored.  Its cost row is dropped before the drive-out; rows whose
+artificial cannot be pivoted out are redundant and are dropped too, so
+the final basis has one column per independent row.  Phase 2 appends
+its own cost row.  ``find_feasible_point`` stops before it, with the
+basis phase 2 would start from, which on an all-zero cost is also the
+one it ends with.  An empty ``A`` takes the same path: no rows, so the
+optimum is the origin unless some cost is negative, in which case the
+LP is unbounded.
 
 One solve, phase 1, the drive-out of artificials and phase 2 together,
 takes at most ``2**cap("PIVOT")`` pivots; the next one raises
@@ -112,67 +114,48 @@ def _reduce(row, d):
     return d
 
 
-def _eliminate(row, d, prow, pd, nz, c):
-    """``row / d`` minus ``row[c] / d`` times ``prow / pd``, in place.
+def _clear(rows, dens, col, r, c):
+    """Clear column c, in place, from each row listed in ``col`` but r
+    by subtracting a multiple of row r, whose entry there is ``dens[r]``;
+    only row r's nonzero columns are touched."""
+    prow, pd = rows[r], dens[r]
+    pairs = list(zip(compress(range(len(prow)), prow), compress(prow, prow)))
+    for i in col:
+        if i != r:
+            row, d = rows[i], dens[i]
+            f = row[c]
+            if pd != 1:
+                g = gcd(f, pd)
+                scale, f = pd // g, f // g
+                if scale != 1:
+                    row[:] = [a * scale for a in row]
+                    d *= scale
+            for j, a in pairs:
+                row[j] -= f * a
+            if d != 1:
+                dens[i] = _reduce(row, d)
 
-    ``prow[c] == pd``, so column c is cleared; ``nz`` lists the nonzero
-    columns of ``prow``.  Returns the new denominator.
-    """
-    f = row[c]
-    g = gcd(f, pd)
-    scale, f = pd // g, f // g
-    if scale != 1:
-        row[:] = [a * scale for a in row]
-        d *= scale
-    for j in nz:
-        row[j] -= f * prow[j]
-    return _reduce(row, d)
 
-
-def _pivot(rows, dens, basis, obj, r, c, col):
+def _pivot(rows, dens, basis, r, c, col):
     """Pivot on ``rows[r][c]``; ``col`` lists the rows with a nonzero
-    entry in column c, and ``obj`` is ``[N, D]``, negative in column c
-    (c enters), or None."""
+    entry in column c, the objective row included when it has one."""
     prow = rows[r]
     p = prow[c]
     if p < 0:
         prow[:] = map(neg, prow)
         p = -p
-    pd = dens[r] = _reduce(prow, p)
-    nz = list(compress(range(len(prow)), prow))
-    if pd == 1:  # prow[c] == 1: row -= row[c] * prow, no scaling
-        pairs = list(zip(nz, compress(prow, prow)))
-        for i in col:
-            if i != r:
-                row = rows[i]
-                f = row[c]
-                for j, a in pairs:
-                    row[j] -= f * a
-                if dens[i] != 1:
-                    dens[i] = _reduce(row, dens[i])
-        if obj is not None:
-            costs = obj[0]
-            f = costs[c]
-            for j, a in pairs:
-                costs[j] -= f * a
-            if obj[1] != 1:
-                obj[1] = _reduce(costs, obj[1])
-    else:
-        for i in col:
-            if i != r:
-                dens[i] = _eliminate(rows[i], dens[i], prow, pd, nz, c)
-        if obj is not None:
-            obj[1] = _eliminate(obj[0], obj[1], prow, pd, nz, c)
+    dens[r] = _reduce(prow, p)
+    _clear(rows, dens, col, r, c)
     basis[r] = c
 
 
-def _bland_loop(rows, dens, basis, obj, ncols, pivots) -> bool:
-    """Minimize ``obj`` (reduced costs, minus the objective last).
+def _bland_loop(rows, dens, basis, ncols, pivots) -> bool:
+    """Minimize the last row (reduced costs, minus the objective last).
 
     Returns True at an optimum and False when the entering column has
     no positive entry, i.e. the objective is unbounded below.
     """
-    costs = obj[0]  # updated in place by _pivot
+    costs = rows[-1]  # updated in place by _pivot
     index = range(len(rows))
     while True:
         for enter in range(ncols):
@@ -181,7 +164,9 @@ def _bland_loop(rows, dens, basis, obj, ncols, pivots) -> bool:
         else:
             return True
         col = list(compress(index, map(itemgetter(enter), rows)))
-        # ratio rhs / a, compared by cross-multiplication (a > 0)
+        # ratio rhs / a, compared by cross-multiplication (a > 0); the
+        # objective row is negative in the entering column, so it is
+        # never a candidate
         leave = -1
         for i in col:
             row = rows[i]
@@ -196,7 +181,7 @@ def _bland_loop(rows, dens, basis, obj, ncols, pivots) -> bool:
         if leave < 0:
             return False
         pivots.take()
-        _pivot(rows, dens, basis, obj, leave, enter, col)
+        _pivot(rows, dens, basis, leave, enter, col)
 
 
 def _phase1(A: Sequence, b: Sequence, n: int, pivots: _Pivots):
@@ -226,14 +211,15 @@ def _phase1(A: Sequence, b: Sequence, n: int, pivots: _Pivots):
     scaled = [row if di == d else [a * (d // di) for a in row]
               for row, di in zip(rows, dens)]
     cost = list(map(neg, map(sum, zip(*scaled)))) if m else [0] * (n + 1)
-    obj = [cost, _reduce(cost, d)]
-    if not _bland_loop(rows, dens, basis, obj, n, pivots):
+    dens.append(_reduce(cost, d))
+    rows.append(cost)
+    if not _bland_loop(rows, dens, basis, n, pivots):
         raise PropertyViolation("phase 1 unbounded")  # the sum is >= 0
-    if obj[0][-1] != 0:
+    dens.pop()
+    if rows.pop()[-1] != 0:
         return None
 
-    # pivot artificials out of the basis (the phase-1 objective is done
-    # with); drop redundant rows
+    # pivot artificials out of the basis; drop redundant rows
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -242,7 +228,7 @@ def _phase1(A: Sequence, b: Sequence, n: int, pivots: _Pivots):
                 continue  # redundant row
             pivots.take()
             col = [k for k, row in enumerate(rows) if row[enter]]
-            _pivot(rows, dens, basis, None, i, enter, col)
+            _pivot(rows, dens, basis, i, enter, col)
         keep.append(i)
     return ([rows[i] for i in keep], [dens[i] for i in keep],
             [basis[i] for i in keep])
@@ -265,21 +251,24 @@ def solve_standard_form(A: Sequence, b: Sequence, c: Sequence) -> SimplexResult:
     same basis and values.
     """
     n = len(c)
-    obj = list(_int_row([*c, 0]))
+    cost, d = _int_row([*c, 0])
     pivots = _Pivots()
     start = _phase1(A, b, n, pivots)
     if start is None:
         return SimplexResult(INFEASIBLE, None, None, None)
     rows, dens, basis = start
 
-    # phase 2: reduced costs of the original objective
+    # phase 2: the objective row, reduced against the basis (in place)
+    m = len(rows)
+    rows.append(cost)
+    dens.append(d)
     for i, bi in enumerate(basis):
-        if obj[0][bi]:
-            nz = list(compress(range(n + 1), rows[i]))
-            obj[1] = _eliminate(obj[0], obj[1], rows[i], dens[i], nz, bi)
-    if not _bland_loop(rows, dens, basis, obj, n, pivots):
+        if cost[bi]:
+            _clear(rows, dens, (m,), i, bi)
+    if not _bland_loop(rows, dens, basis, n, pivots):
         return SimplexResult(UNBOUNDED, None, None, None)
-    return _optimal(rows, dens, basis, n, Fraction(-obj[0][-1], obj[1]))
+    objective = Fraction(-rows.pop()[-1], dens.pop())
+    return _optimal(rows, dens, basis, n, objective)
 
 
 def find_feasible_point(A: Sequence, b: Sequence) -> SimplexResult:

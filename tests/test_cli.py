@@ -605,16 +605,16 @@ def test_correlation_of_tiny_masses(tmp_path, capsys):
         "connected": False, "rho": 1.0, "bound": 1.0, "ok": True}
 
 
-def test_decode_chain_under_a_tilt_below_the_smallest_float(tmp_path,
-                                                            capsys):
-    """A tilt below 1e-308 is a point mass once it is a float, so the
-    decoding reads zeros for it instead of refusing the bias."""
+def _decode_tilted_chain(tmp_path, capsys, delta):
+    """dict, reduce and decode (with and without --dict) on the vc_edge
+    blowup at x = (0/1, 1/1) under tilt delta, the planted labeling and
+    zero influences read back each time."""
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"x": {"u": "0/1", "v": "1/1"}}))
     dict_file, composed = tmp_path / "dict.json", tmp_path / "composed.json"
     game = FIXTURES / "ug_small.json"
     assert run(capsys, "dict", FIXTURES / "vc_edge.json", "--eps", "1/2",
-               "--delta", f"1/{10**400}", "--r", "2", "--solution", x,
+               "--delta", delta, "--r", "2", "--solution", x,
                "-o", dict_file)[0] == 0
     assert run(capsys, "reduce", "--ug", game, "--dict", dict_file,
                "-o", composed)[:2] == (
@@ -634,6 +634,21 @@ def test_decode_chain_under_a_tilt_below_the_smallest_float(tmp_path,
             "labels": {"v0": 0, "v1": 0, "u0": 0, "u1": 1},
             "satisfied_weight": "1/1",
             "influences": {"v0": zeros, "v1": zeros}}
+
+
+def test_decode_chain_under_a_tilt_below_the_smallest_float(tmp_path,
+                                                            capsys):
+    """A tilt below 1e-308 is a point mass once it is a float, so the
+    decoding reads zeros for it instead of refusing the bias."""
+    _decode_tilted_chain(tmp_path, capsys, f"1/{10**400}")
+
+
+@pytest.mark.parametrize("exponent", [200, 300])
+def test_decode_chain_under_a_tilt_whose_square_underflows(tmp_path, capsys,
+                                                           exponent):
+    """A float tilt whose (p(1-p))^2 underflows to 0 decodes as a larger
+    one does: squared coefficients are then formed exactly."""
+    _decode_tilted_chain(tmp_path, capsys, f"1/{10**exponent}")
 
 
 def test_analyze_influences(tmp_path, capsys):

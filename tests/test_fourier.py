@@ -138,6 +138,18 @@ def test_point_mass_bias_has_no_influence():
     assert influences(rational, tiny) == [tiny * (1 - tiny)] * 2
 
 
+@pytest.mark.parametrize("p", [1e-160, 1e-200, 1e-300, 1e-310])
+def test_tiny_float_bias_keeps_its_influence(p):
+    # as a float, (p(1-p))^2 is subnormal below about 1e-154 and 0 below
+    # about 1e-162; each influence is still the rational value at the
+    # same float bias, rounded once
+    table = [0.0, 1.0, 1.0, 0.5]
+    exact = influences([F(0), F(1), F(1), F(1, 2)], F(p))
+    assert influences(table, p) == [float(v) for v in exact] == [p, p]
+    assert [conditional_variance_influence(table, i, p)
+            for i in (0, 1)] == [p, p]
+
+
 def test_bias_must_be_a_probability():
     with pytest.raises(ValueError):
         biased_fourier([F(0), F(1)], F(0))

@@ -187,6 +187,25 @@ def test_main_prints_every_command_output():
     assert to_stdout == [("cli.py", "main")]
 
 
+def test_one_simplex_routine_clears_a_column():
+    # the objective is the tableau's last row: one routine subtracts a
+    # multiple of the pivot row from the rows it clears, objective and
+    # constraints alike, and no function takes the objective as an
+    # argument of its own
+    tree = ast.parse((SRC / "simplex.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    subtracting = [node.name for node in functions
+                   if any(isinstance(n, ast.AugAssign)
+                          and isinstance(n.op, ast.Sub)
+                          and isinstance(n.value, ast.BinOp)
+                          and isinstance(n.value.op, ast.Mult)
+                          for n in ast.walk(node))]
+    assert subtracting == ["_clear"]
+    params = {a.arg for node in functions for a in node.args.args}
+    assert not params & {"obj", "cost", "costs"}
+
+
 def test_gaussian_layer_leaves_quadrature_and_stats_unimported():
     script = ("import sys\n"
               "import smcsp\n"

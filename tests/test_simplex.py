@@ -314,19 +314,44 @@ PIVOT_PATH_DIGEST = ("48cf00c27210b66f0fd4085174928ba8"
                      "dc955e5a07a5e39cf6f6f1af5d3d2266")
 
 
-def test_bland_pivot_path_pinned(monkeypatch):
+def _record_pivots(monkeypatch) -> list:
+    """The list that the ``(row, column)`` of every later pivot goes to."""
     path = []
     pivot = simplex._pivot
 
-    def recording(rows, dens, basis, obj, r, c, *rest):
+    def recording(rows, dens, basis, r, c, *rest):
         path.append([r, c])
-        return pivot(rows, dens, basis, obj, r, c, *rest)
+        return pivot(rows, dens, basis, r, c, *rest)
 
     monkeypatch.setattr(simplex, "_pivot", recording)
+    return path
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_bland_pivot_path_pinned(monkeypatch):
+    path = _record_pivots(monkeypatch)
     _pinned_records()
     assert len(path) == 980
-    assert hashlib.sha256(json.dumps(path).encode()).hexdigest() == \
-        PIVOT_PATH_DIGEST
+    assert _digest(path) == PIVOT_PATH_DIGEST
+
+
+def test_covering_lp_pinned(monkeypatch):
+    # a 160 x 300 hull LP of the paper's covering family, whose rows
+    # carry denominators, unlike most rows of the pins above (50 of its
+    # 816 pivot rows keep a denominator other than 1): its Bland optimum
+    # and pivot path
+    inst = randgen.random_cover_instance(random.Random(0), 20, 40, 3)
+    prob = lp.build_lp(inst)
+    path = _record_pivots(monkeypatch)
+    res = solve_standard_form(prob.A, prob.b, prob.c)
+    assert (len(path), res.objective) == (816, F(29, 90))
+    assert _digest(_result_record(res)) == (
+        "7519cb638f4323bbabd79952e940dcb5dfc955147f2dffc27caf3ccca917765f")
+    assert _digest(path) == (
+        "786cd53ea4a4c04ca8c7c4e47ed541500adc25ca91ec717bf4d5ab53656bd36f")
 
 
 @pytest.mark.parametrize("bad", [0.5, True, np.int64(1), np.float64(1)],
@@ -369,7 +394,7 @@ def test_pivot_cap_bounds_one_solve(monkeypatch):
     pivot = simplex._pivot
 
     def counting(*args):
-        taken.append(args[4:6])
+        taken.append(args[3:5])
         return pivot(*args)
 
     def reading(name):
