@@ -278,9 +278,10 @@ def serialize_instance(inst: Instance) -> str:
     Each vertex id and predicate name is encoded once with ``json.dumps``
     and reused in every edge; each label and arity is encoded with it
     too.  Nothing goes through ``json.dumps(..., indent=2)``, whose
-    encoder closures make a reference cycle on every call.  An edge's
-    text is one piece per vertex slot and one for its predicate
-    (``_edge_texts``).
+    encoder closures make a reference cycle on every call.  The edges
+    array is one join over pieces gathered by numpy indexing, one per
+    vertex slot and one per predicate, with each separator folded into
+    the piece after it (``_edges_text``).
     """
     ids = [json.dumps(vid) for vid in inst.vertex_ids]
     names = [json.dumps(p.name) for p in inst.predicates]
@@ -288,11 +289,10 @@ def serialize_instance(inst: Instance) -> str:
                 f'"{w.numerator}/{w.denominator}"\n    }}'
                 for vid, w in zip(ids, inst.weights)]
     predicates = list(map(_predicate_text, names, inst.predicates))
-    edges = _edge_texts(inst.edges, ids, names)
     return (f'{{\n  "q": {json.dumps(inst.q)},\n'
             f'  "vertices": {_array(vertices, 2)},\n'
             f'  "predicates": {_array(predicates, 2)},\n'
-            f'  "edges": {_array(edges, 2)}\n}}\n')
+            f'  "edges": {_edges_text(inst.edges, ids, names)}\n}}\n')
 
 
 def _predicate_text(name: str, p: Predicate) -> str:
@@ -304,19 +304,24 @@ def _predicate_text(name: str, p: Predicate) -> str:
             f'      "minimal": {_array(minimal, 6)}\n    }}')
 
 
-def _edge_texts(edges: EdgeRows, ids: list, names: list) -> list:
-    """The laid-out text of each edge, gathered by numpy indexing.
+def _edges_text(edges: EdgeRows, ids: list, names: list) -> str:
+    """The laid-out edges array, one join over pieces gathered by numpy
+    indexing.
 
     An edge's text is one piece per vertex slot (``EdgeRows.slots``) and
-    one for its predicate.  Piece 0 opens the edge with its first vertex,
-    piece j adds vertex j, and the last piece closes the edge with its
+    one for its predicate.  Piece 0 opens the edge, after the ``,\\n``
+    that separates it from the edge before, with its first vertex; piece
+    j adds vertex j, and the last piece closes the edge with its
     predicate name, without ``]`` when the edge has no vertices.  A slot
     past the edge's size is filled with ``len(ids)``, which reads ``[]``
-    in slot 0 and the empty text after it.
+    in slot 0 and the empty text after it.  The first edge's opening
+    piece loses its separator.
     """
+    if not len(edges):
+        return "[]"
     slots = edges.slots(len(ids))
-    opening = np.array(['    {\n      "vertices": [\n        ' + vid
-                        for vid in ids] + ['    {\n      "vertices": []'],
+    opening = np.array([',\n    {\n      "vertices": [\n        ' + vid
+                        for vid in ids] + [',\n    {\n      "vertices": []'],
                        dtype=object)
     later = np.array([",\n        " + vid for vid in ids] + [""],
                      dtype=object)
@@ -330,7 +335,8 @@ def _edge_texts(edges: EdgeRows, ids: list, names: list) -> list:
     pieces[:, 1:-1] = later[slots[:, 1:]]
     pieces[:, -1] = closing[(edges.sizes == 0).astype(np.int64),
                             edges.predicate_indices]
-    return list(map("".join, pieces.tolist()))
+    pieces[0, 0] = pieces[0, 0][2:]
+    return "[\n" + "".join(pieces.ravel().tolist()) + "\n  ]"
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,37 @@ def _rows_of(vertices, sizes, predicates) -> tuple:
     return rows, sizes
 
 
+# a packed sort key holds columns whose radix product is at most this
+_KEY_SPAN = 1 << 63
+
+
+def _sort_keys(rows: np.ndarray) -> np.ndarray:
+    """Rows of entries >= -1 packed into as few ``uint64`` keys as hold
+    them, one key per row of the result, most significant first: their
+    lexicographic order is the rows' order, and equal keys are equal
+    rows.
+
+    Each entry is shifted by one, so the -1 padding is digit 0, and
+    column j counts in radix ``max_j + 2``.  A key holds the columns
+    from where it starts until the product of their radices would pass
+    ``2**63``, so no packed key passes ``2**63 - 1``; a column whose
+    radix alone passes it is a key of its own, whose digits (up to
+    ``2**63``) still fit ``uint64``.
+    """
+    digits = rows.astype(np.uint64) + np.uint64(1)  # -1 wraps round to 0
+    keys, span = [], _KEY_SPAN + 1  # past the span: column 0 opens a key
+    for j, top in enumerate(rows.max(axis=0, initial=-1).tolist()):
+        radix = top + 2
+        if span * radix > _KEY_SPAN:
+            keys.append(digits[:, j].copy())
+            span = radix
+        else:
+            keys[-1] *= np.uint64(radix)
+            keys[-1] += digits[:, j]
+            span *= radix
+    return np.stack(keys)
+
+
 # fewer edges than this stay Python pairs until their rows are asked for:
 # below it numpy's cost per call outweighs a Python pass over the edges
 _ROWS_FROM = 256
@@ -219,7 +250,8 @@ class EdgeRows(Sequence):
     lexicographic order of the rows is the order of the
     ``(vertices, predicate)`` tuples: -1 sorts a vertex tuple before every
     longer one it prefixes.  So ``distinct`` sorts and dedupes edges of
-    mixed arity with one row sort.
+    mixed arity as whole rows, each row packed into a few integer sort
+    keys (``_sort_keys``).
 
     Only this class knows that layout.  Other modules read ``slots``,
     ``predicate_indices`` and ``sizes``, and hand ``distinct`` unpadded
@@ -261,13 +293,16 @@ class EdgeRows(Sequence):
     @classmethod
     def distinct(cls, blocks) -> EdgeRows:
         """The distinct edges of ``blocks`` in lexicographic row order,
-        which on indices >= 0 is the sorted order of their
-        ``(vertices, predicate)`` tuples.
+        which is the sorted order of their ``(vertices, predicate)``
+        tuples.
 
         Each block is ``(vertices, predicates)``: an ``(N, k)`` ``int64``
         array of the vertex indices of N edges of arity k, and their
-        predicate indices.  The blocks are written straight into one
-        padded array, so no padded copy of a block is made.
+        predicate indices, all >= 0 (else ``ValueError``).  The blocks
+        are written straight into one padded array, so no padded copy of
+        a block is made.  Its rows are packed into sort keys
+        (``_sort_keys``), sorted with ``np.lexsort`` and deduped by
+        comparing neighbouring keys.
         """
         width = max((vs.shape[1] for vs, _ in blocks), default=0)
         rows = np.full((sum(len(ps) for _, ps in blocks), width + 1), -1,
@@ -275,15 +310,19 @@ class EdgeRows(Sequence):
         sizes = np.empty(len(rows), dtype=np.int64)
         end = 0
         for vs, ps in blocks:
+            if len(ps) and min(vs.min(initial=0), ps.min()) < 0:
+                raise ValueError("distinct edges need indices >= 0")
             start, end = end, end + len(ps)
             rows[start:end, :vs.shape[1]] = vs
             rows[start:end, -1] = ps
             sizes[start:end] = vs.shape[1]
-        order = np.lexsort(rows.T[::-1])
-        rows, sizes = rows[order], sizes[order]
+        keys = _sort_keys(rows)
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
         first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return cls(rows[first], sizes[first])
+        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        order = order[first]
+        return cls(rows[order], sizes[order])
 
     @property
     def held_as_rows(self) -> bool:

@@ -225,20 +225,27 @@ def _twist_tables(ug: UgInstance, D: DictInstance) -> tuple:
     Returns ``(row_of, tables)``.  Row ``row_of[u, pi]`` of the ``int64``
     array ``tables`` maps the dict-vertex index of (b, y) to the composed
     index of (u, b, y o pi), where (y o pi)_t = y_{pi(t)}.
+
+    ``dict_view`` lays the points out cube by cube, y in lexicographic
+    order, so (b, y) has index ``b * q**r + sum_t y_t * q**(r-1-t)``.
+    The tables are one gather of the label codes ``y`` through every pi
+    at once, weighed by those powers of q.
     """
     if D.r != ug.r:
         raise ValueError(f"label ranges differ: game has r={ug.r}, "
                          f"hypercubes have r={D.r}")
     if ug.problems:
         raise ValueError("invalid game: " + "; ".join(ug.problems))
-    cube = len(D.points)
-    index_of = {pt: i for i, pt in enumerate(D.points)}
     row_of = {}
     for u, _, _, perm in ug.edges:
         row_of.setdefault((u, perm), len(row_of))
-    tables = np.array([[u * cube + index_of[b, tuple([y[t] for t in perm])]
-                        for b, y in D.points] for u, perm in row_of],
-                      dtype=np.int64).reshape(len(row_of), cube)
+    codes = np.array([y for _, y in D.points], dtype=np.int64)
+    place = D.q ** np.arange(D.r - 1, -1, -1, dtype=np.int64)
+    # the index of (b, y) less the place value of y: b * q**r
+    cube_start = np.arange(len(codes), dtype=np.int64) - codes @ place
+    copies = np.array([u for u, _ in row_of], dtype=np.int64) * len(codes)
+    perms = np.array([perm for _, perm in row_of], dtype=np.int64)
+    tables = copies[:, None] + cube_start + (codes[:, perms] @ place).T
     return row_of, tables
 
 
@@ -253,9 +260,9 @@ def compose(ug: UgInstance, D: DictInstance) -> Instance:
     (y o pi)_t = y_{pi(t)}.  Per arity k and right vertex, one broadcast
     gather through the twist tables makes the vertex indices of every
     source constraint with every k-tuple of incident edges, an
-    ``(N, k)`` block; ``EdgeRows.distinct`` pads, sorts and dedupes the
-    blocks with one row sort, in ``(vertices, predicate)`` tuple order.
-    No ``Edge`` is built.
+    ``(N, k)`` block; ``EdgeRows.distinct`` pads the blocks into rows,
+    packs each row into integer sort keys, sorts them and dedupes, in
+    ``(vertices, predicate)`` tuple order.  No ``Edge`` is built.
     """
     row_of, tables = _twist_tables(ug, D)
     base = D.instance.edges

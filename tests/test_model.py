@@ -287,6 +287,73 @@ def test_distinct_is_the_sorted_set_of_the_block_edges(blocks):
     assert edges.sizes.tolist() == [len(vs) for vs, _ in sorted(set(pairs))]
 
 
+@st.composite
+def wide_blocks(draw):
+    """Up to 5 blocks of up to 5 edges of one arity 0-12 each, empty
+    blocks among them, with entries from 0 up to a drawn top as large as
+    ``2**63 - 1``, so that a padded row packs into one sort key, two or
+    more.  A block may repeat an edge of its own and rows of an earlier
+    block of its arity."""
+    entry = st.integers(0, draw(st.sampled_from(
+        [1, 2 ** 8, 2 ** 21, 2 ** 40, 2 ** 63 - 1])))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(0, 12))
+        rows = draw(st.lists(st.lists(entry, min_size=k + 1,
+                                      max_size=k + 1), max_size=3))
+        if rows and draw(st.booleans()):
+            rows.append(rows[0])
+        earlier = [b for b in blocks if b.shape[1] == k + 1 and len(b)]
+        if earlier and draw(st.booleans()):
+            rows += draw(st.sampled_from(earlier))[:1].tolist()
+        blocks.append(np.array(rows, dtype=np.int64).reshape(-1, k + 1))
+    # each block's last column is its predicate indices
+    return [(b[:, :-1], b[:, -1].copy()) for b in blocks]
+
+
+def _distinct_pairs(blocks) -> tuple:
+    """The sorted set of the blocks' ``(vertices, predicate)`` tuples, and
+    the widest block's arity."""
+    width = max((vs.shape[1] for vs, _ in blocks), default=0)
+    return sorted({(tuple(vs), p) for vertices, predicates in blocks
+                   for vs, p in zip(vertices.tolist(),
+                                    predicates.tolist())}), width
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_blocks())
+def test_distinct_rows_are_the_sorted_set_at_any_width(blocks):
+    pairs, width = _distinct_pairs(blocks)
+    edges = EdgeRows.distinct(blocks)
+    assert edges.rows.tolist() == [list(vs) + [-1] * (width - len(vs)) + [p]
+                                   for vs, p in pairs]
+    assert edges.sizes.tolist() == [len(vs) for vs, _ in pairs]
+    assert list(edges) == pairs
+
+
+def test_distinct_on_the_widest_composed_row_the_default_caps_allow():
+    # 12 vertex slots (a boolean predicate's 2**12 accepting tuples fill
+    # the EXPAND cap), each at the last composed vertex the UG cap allows,
+    # 2**20 - 1: a column counts in radix 2**20 + 1, so the row packs into
+    # four keys of three columns, the predicate column joining the last
+    top = 2 ** 20 - 1
+    wide = np.full((3, 12), top, dtype=np.int64)
+    wide[1, -1] = top - 1
+    blocks = [(wide, np.array([1, 0, 1], dtype=np.int64)),
+              (wide[:, :11], np.array([0, 1, 0], dtype=np.int64)),
+              (wide[:0, :0], np.zeros(0, dtype=np.int64))]
+    pairs, _ = _distinct_pairs(blocks)
+    edges = EdgeRows.distinct(blocks)
+    assert len(model._sort_keys(edges.rows)) == 4
+    assert list(edges) == pairs and len(pairs) == 4
+
+
+def test_distinct_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="indices >= 0"):
+        EdgeRows.distinct([(np.array([[0, -1]], dtype=np.int64),
+                            np.array([0], dtype=np.int64))])
+
+
 @pytest.mark.parametrize("edge, message", [
     (((0.0, 1), 0), "edge 0: vertex index 0.0 is not an integer"),
     (((True, 1), 0), "edge 0: vertex index True is not an integer"),

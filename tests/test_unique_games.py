@@ -240,6 +240,23 @@ def test_compose_matches_reference(game_and_dict):
     assert (composed.q, composed.predicates) == (D.q, D.instance.predicates)
 
 
+# five edges at one right vertex: 5**2 tuples on each of the 27 edges of
+# the boolean r = 3 dict, 320 of them distinct
+_FIVE_AT_ONE_RIGHT = UgInstance(3, ("L0", "L1", "L2"), ("R0",), tuple(
+    (u, 0, F(1, 5), perm) for u, perm in
+    zip((0, 1, 2, 0, 1), itertools.permutations(range(3)))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(games_with_dicts())
+@example((_FIVE_AT_ONE_RIGHT, _dicts(3)[0]))
+def test_composed_text_is_json_dumps_and_reads_back(game_and_dict):
+    composed = compose(*game_and_dict)
+    text = io.serialize_instance(composed)
+    assert text == oracles.serialize_instance_dumps(composed)
+    assert io.parse_instance(text) == composed
+
+
 @st.composite
 def prefix_bases(draw):
     """A game and a boolean hypercube instance whose 2-ary edges include
