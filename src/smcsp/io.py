@@ -43,6 +43,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Sequence
 
@@ -275,16 +276,17 @@ def _array(items: list, indent: int) -> str:
 def serialize_instance(inst: Instance) -> str:
     """The text ``json.dumps(doc, indent=2)`` prints, laid out directly.
 
-    Each vertex id and predicate name is encoded once with ``json.dumps``
-    and reused in every edge; each label and arity is encoded with it
-    too.  Nothing goes through ``json.dumps(..., indent=2)``, whose
-    encoder closures make a reference cycle on every call.  The edges
-    array is one join over pieces gathered by numpy indexing, one per
-    vertex slot and one per predicate, with each separator folded into
-    the piece after it (``_edges_text``).
+    Each vertex id and predicate name is encoded once, by the C string
+    encoder ``json.dumps`` ends in, and reused in every edge; each label
+    and arity is encoded with ``json.dumps``.  Nothing goes through
+    ``json.dumps(..., indent=2)``, whose encoder closures make a
+    reference cycle on every call.  The edges array is one join over
+    pieces gathered by numpy indexing, one per vertex slot and one per
+    predicate, with each separator folded into the piece after it
+    (``_edges_text``).
     """
-    ids = [json.dumps(vid) for vid in inst.vertex_ids]
-    names = [json.dumps(p.name) for p in inst.predicates]
+    ids = list(map(encode_basestring_ascii, inst.vertex_ids))
+    names = [encode_basestring_ascii(p.name) for p in inst.predicates]
     vertices = [f'    {{\n      "id": {vid},\n      "weight": '
                 f'"{w.numerator}/{w.denominator}"\n    }}'
                 for vid, w in zip(ids, inst.weights)]

@@ -16,10 +16,11 @@ is made on the integers.  Each pivot gathers once the rows with a
 nonzero entry in the entering column, the objective row among them
 (negative there, so it never leaves), and ``_clear`` updates only those
 rows, on the pivot row's nonzero columns: a row is scaled only when the
-pivot row's ``D`` is not 1, and divided by ``gcd(D, *N)`` only when its
-own ``D`` is not 1.  Results are exact, so the pivot sequence is the
-one Bland's rule takes over the rationals; ``Fraction`` appears only at
-the boundary, in the values and objective of the result.
+pivot row's ``D`` is not 1, and only the pivot row is divided by a gcd,
+so the others may keep a factor common to ``N`` and ``D``.  Results are
+exact, so the pivot sequence is the one Bland's rule takes over the
+rationals; ``Fraction`` appears only at the boundary, in the values and
+objective of the result.
 
 Phase 1 starts from one artificial variable per row and drives their
 sum to zero.  Artificials never re-enter, so their columns are not
@@ -104,47 +105,44 @@ def _int_row(vals: list):
     return [v.numerator * (d // v.denominator) for v in vals], d
 
 
-def _reduce(row, d):
-    """Divide ``row`` (in place) and ``d`` by ``gcd(d, *row)``."""
-    if d != 1:
-        g = gcd(d, *row)
-        if g != 1:
-            row[:] = [a // g for a in row]
-            d //= g
-    return d
-
-
 def _clear(rows, dens, col, r, c):
     """Clear column c, in place, from each row listed in ``col`` but r
     by subtracting a multiple of row r, whose entry there is ``dens[r]``;
-    only row r's nonzero columns are touched."""
+    only row r's nonzero columns are touched, and a row is scaled with
+    its denominator but never divided by a gcd."""
     prow, pd = rows[r], dens[r]
     pairs = list(zip(compress(range(len(prow)), prow), compress(prow, prow)))
     for i in col:
         if i != r:
-            row, d = rows[i], dens[i]
+            row = rows[i]
             f = row[c]
             if pd != 1:
                 g = gcd(f, pd)
                 scale, f = pd // g, f // g
                 if scale != 1:
                     row[:] = [a * scale for a in row]
-                    d *= scale
+                    dens[i] *= scale
             for j, a in pairs:
                 row[j] -= f * a
-            if d != 1:
-                dens[i] = _reduce(row, d)
 
 
 def _pivot(rows, dens, basis, r, c, col):
     """Pivot on ``rows[r][c]``; ``col`` lists the rows with a nonzero
-    entry in column c, the objective row included when it has one."""
+    entry in column c, the objective row included when it has one.
+    Row r is divided by the gcd of its entries, p = rows[r][c] among
+    them, since p becomes its denominator; this is the tableau's one
+    row division, and a unit pivot skips it."""
     prow = rows[r]
     p = prow[c]
     if p < 0:
         prow[:] = map(neg, prow)
         p = -p
-    dens[r] = _reduce(prow, p)
+    if p != 1:
+        g = gcd(p, *prow)
+        if g != 1:
+            prow[:] = [a // g for a in prow]
+            p //= g
+    dens[r] = p
     _clear(rows, dens, col, r, c)
     basis[r] = c
 
@@ -210,9 +208,8 @@ def _phase1(A: Sequence, b: Sequence, n: int, pivots: _Pivots):
     d = lcm(*dens)
     scaled = [row if di == d else [a * (d // di) for a in row]
               for row, di in zip(rows, dens)]
-    cost = list(map(neg, map(sum, zip(*scaled)))) if m else [0] * (n + 1)
-    dens.append(_reduce(cost, d))
-    rows.append(cost)
+    rows.append([-sum(col) for col in zip(*scaled)] if m else [0] * (n + 1))
+    dens.append(d)
     if not _bland_loop(rows, dens, basis, n, pivots):
         raise PropertyViolation("phase 1 unbounded")  # the sum is >= 0
     dens.pop()

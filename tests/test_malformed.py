@@ -4,11 +4,13 @@ Every single-node mutation of a valid document (a node replaced by
 another JSON type, an object key deleted or added) must either parse
 to a value that survives a serialize/parse round trip or raise
 ``ParseError``; nothing else may escape.  The named cases are documents
-that were once misread or crashed the parser.
+that were once misread or crashed the parser.  ``decode``, which reads
+four documents, exits 0 or 3 on a single mutation of any one of them.
 """
 
 import copy
 import json
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from smcsp import cli, io
 from smcsp.dictators import dictator_assignment, generate_dict
 from smcsp.randgen import ternary_chain, vc_edge
+from smcsp.unique_games import UgInstance, completeness_solution, compose
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -266,3 +269,59 @@ def test_solution_outside_the_value_domain_is_exit_3(argv, fixture, x,
 def test_generate_dict_rejects_a_misshapen_solution(x):
     with pytest.raises(ValueError):
         generate_dict(vc_edge(), x, 2, F(1, 10), F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# decode on a single mutation of one of its four documents
+# ---------------------------------------------------------------------------
+
+DECODE_SAMPLE = 400  # mutations kept of a document that has more
+
+
+@pytest.fixture(scope="module")
+def decode_files(tmp_path_factory):
+    """The valid inputs of ``decode``: a composed instance, a selection
+    on it, its game and its hypercube instance."""
+    work = tmp_path_factory.mktemp("decode")
+    D = generate_dict(vc_edge(), [F(1, 2)] * 2, 2, F(1, 10), F(1, 2))
+    ug = UgInstance(2, ("L0", "L1"), ("R0",),
+                    ((0, 0, F(1, 2), (0, 1)), (1, 0, F(1, 2), (1, 0))))
+    composed = compose(ug, D)
+    selection, _ = completeness_solution(ug, {"L0": 0, "L1": 1, "R0": 0},
+                                         D, composed)
+    texts = {"f": io.serialize_instance(composed),
+             "solution": io.serialize_assignment(composed, selection),
+             "ug": io.serialize_ug(ug),
+             "dict": io.serialize_instance(D.instance)}
+    paths = {"bad": work / "bad.json"}
+    for key, text in texts.items():
+        paths[key] = work / f"{key}.json"
+        paths[key].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("target,with_dict", [
+    ("f", False), ("f", True), ("solution", False), ("solution", True),
+    ("ug", False), ("ug", True), ("dict", True)])
+def test_decode_on_a_mutated_input_exits_0_or_3(target, with_dict,
+                                                decode_files, capsys):
+    keys = ("f", "solution", "ug") + (("dict",) if with_dict else ())
+    argv = ["decode"]
+    for key in keys:
+        argv += [f"--{key}", str(decode_files[key])]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    argv[argv.index(str(decode_files[target]))] = str(decode_files["bad"])
+    mutations = list(_mutations(json.loads(decode_files[target].read_text())))
+    if len(mutations) > DECODE_SAMPLE:
+        mutations = random.Random(target).sample(mutations, DECODE_SAMPLE)
+    escaped = []
+    for label, mutated in mutations:
+        decode_files["bad"].write_text(json.dumps(mutated))
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001 - the property under test
+            code = f"{type(exc).__name__}: {exc}"
+        capsys.readouterr()
+        if code not in (0, 3):
+            escaped.append(f"{label}: {code}")
+    assert not escaped, escaped[:5]
